@@ -24,7 +24,7 @@ records += to_records(fa.star(3, 10.0), product="99", year=2000)
 print(f"corpus: {len(records)} records, "
       f"{len(fa.enumerate_products(records, 2))} two-digit products")
 
-outcome = fa.batch(records, 2000, 2, min_countries=10, workers=4)
+outcome = fa.batch(records, 2000, 2, min_countries=10)
 print("\nper-product table (eta descending):")
 print("  code   eta     stderr  R^2    GINI   dominance  n")
 for row in sorted(outcome.results, key=lambda r: -r.eta):

@@ -26,7 +26,7 @@ def run(trades_path, gdp_path=None):
     year = max(r.year for r in records)
     print(f"{len(records)} records; analyzing year {year}")
 
-    outcome = fa.batch(records, year, 1, min_countries=10, workers=8)
+    outcome = fa.batch(records, year, 1, min_countries=10)
     print("\ncode   eta      +-       R^2     GINI   dominance  n")
     for row in sorted(outcome.results, key=lambda r: -r.eta):
         print(f"{row.product:<5} {row.eta:.3f}  {row.stderr:.3f}  "
@@ -52,7 +52,7 @@ def run(trades_path, gdp_path=None):
                for a in fa.parse_attributes(Path(gdp_path), kind="gdp")}
         table = fa.complexity_table(records, year, 2, gdp=gdp)
         column = fa.prody_all(table)
-        two_digit = fa.batch(records, year, 2, min_countries=10, workers=8)
+        two_digit = fa.batch(records, year, 2, min_countries=10)
         r, pairs = fa.correlate_complexity(two_digit.results, column)
         print(f"2-digit exponent vs sophistication: r={r:.3f} "
               f"over {len(pairs)} products")

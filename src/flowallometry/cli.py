@@ -66,17 +66,20 @@ def _render_json(doc: dict) -> str:
     return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
 
 
+def _footer(meta: dict, prefix: str) -> list[str]:
+    lines = [f"{prefix} tool: {meta['tool']} {meta['version']}",
+             f"{prefix} command: {meta['command']}"]
+    lines.extend(f"{prefix} parameter {k}: {v}" for k, v in meta["parameters"].items())
+    lines.extend(f"{prefix} convention {k}: {v}" for k, v in meta["conventions"].items())
+    return lines
+
+
 def _render_csv(header: list[str], rows: list[list], meta: dict,
                 extra_comments: list[str] = ()) -> str:
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
     lines.extend(extra_comments)
-    lines.append(f"# tool: {meta['tool']} {meta['version']}")
-    lines.append(f"# command: {meta['command']}")
-    for key, value in meta["parameters"].items():
-        lines.append(f"# parameter {key}: {value}")
-    for key, value in meta["conventions"].items():
-        lines.append(f"# convention {key}: {value}")
+    lines.extend(_footer(meta, "#"))
     return "\n".join(lines) + "\n"
 
 
@@ -180,7 +183,7 @@ def cmd_batch(args) -> str:
     records = _read_trades(args.input)
     outcome = pipeline.batch(records, args.year, args.digits,
                              min_countries=args.min_countries,
-                             min_flow=args.min_flow, workers=args.workers)
+                             min_flow=args.min_flow)
     ordered = _batch_presentation(outcome)
     meta = _meta("batch", {"year": args.year, "digits": args.digits,
                            "min_countries": args.min_countries,
@@ -248,7 +251,7 @@ def cmd_correlate(args) -> str:
     records = _read_trades(args.input)
     outcome = pipeline.batch(records, args.year, args.digits,
                              min_countries=args.min_countries,
-                             min_flow=args.min_flow, workers=args.workers)
+                             min_flow=args.min_flow)
     if args.complexity_column is not None:
         column = parse_product_column(Path(args.complexity_column))
         column_name = "file"
@@ -308,12 +311,7 @@ def cmd_backbone(args) -> str:
         lines.append(f'  "{link["source"]}" -> "{link["target"]}" '
                      f'[penwidth={penwidth!r}];')
     lines.append("}")
-    lines.append(f"// tool: {meta['tool']} {meta['version']}")
-    lines.append(f"// command: {meta['command']}")
-    for key, value in meta["parameters"].items():
-        lines.append(f"// parameter {key}: {value}")
-    for key, value in meta["conventions"].items():
-        lines.append(f"// convention {key}: {value}")
+    lines.extend(_footer(meta, "//"))
     return "\n".join(lines) + "\n"
 
 
@@ -333,11 +331,7 @@ def cmd_synth(args) -> str:
                            "back_density": args.back_density,
                            "seed": args.seed, "product": args.product,
                            "year": args.year})
-    lines = [f"# tool: {meta['tool']} {meta['version']}",
-             f"# command: {meta['command']}"]
-    lines.extend(f"# parameter {k}: {v}" for k, v in meta["parameters"].items())
-    lines.extend(f"# convention {k}: {v}" for k, v in meta["conventions"].items())
-    return text + "\n".join(lines) + "\n"
+    return text + "\n".join(_footer(meta, "#")) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -375,8 +369,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("batch", help="per-product table plus integrated network")
     _add_common(p)
     p.add_argument("--min-countries", type=int, default=10)
-    p.add_argument("--workers", type=int, default=None,
-                   help="thread count for per-product analyses")
     p.set_defaults(func=cmd_batch)
 
     p = sub.add_parser("timeseries", help="exponents per product over years")
@@ -394,7 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("correlate", help="exponent vs complexity column")
     _add_common(p)
     p.add_argument("--min-countries", type=int, default=10)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--gdp", help="compute sophistication from this GDP file")
     p.add_argument("--complexity-column",
                    help="per-product value CSV (product,value)")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -18,6 +19,7 @@ import numpy as np
 
 from .errors import (AllZero, FlowDataWarning, NoExports, NoMarket,
                      TooFewPoints, ZeroVariance)
+from .netcore import cell_total
 
 
 @dataclass(frozen=True)
@@ -184,10 +186,11 @@ def complexity_table(records: Iterable, year: int, digit_level: int,
 
     Rows are exporters only (importers with no exports carry no advantage).
     Self-loop records are dropped with a counted warning, codes shorter than
-    the digit level likewise.  When ``gdp`` is given it must cover every
-    exporting country.
+    the digit level likewise.  Each cell is an exactly rounded sum, so the
+    table is independent of record order.  When ``gdp`` is given it must
+    cover every exporting country.
     """
-    cells: dict[tuple[str, str], float] = {}
+    cells: dict[tuple[str, str], list[float]] = defaultdict(list)
     short = 0
     loops = 0
     for rec in records:
@@ -199,8 +202,7 @@ def complexity_table(records: Iterable, year: int, digit_level: int,
         if rec.exporter == rec.importer:
             loops += 1
             continue
-        key = (rec.exporter, rec.product[:digit_level])
-        cells[key] = cells.get(key, 0.0) + rec.value
+        cells[(rec.exporter, rec.product[:digit_level])].append(rec.value)
     if short:
         warnings.warn(f"excluded {short} record(s) with codes shorter than "
                       f"{digit_level} digits", FlowDataWarning, stacklevel=2)
@@ -212,8 +214,8 @@ def complexity_table(records: Iterable, year: int, digit_level: int,
     exports = np.zeros((len(countries), len(products)))
     c_index = {c: i for i, c in enumerate(countries)}
     p_index = {p: i for i, p in enumerate(products)}
-    for (c, p), value in cells.items():
-        exports[c_index[c], p_index[p]] = value
+    for (c, p), values in cells.items():
+        exports[c_index[c], p_index[p]] = cell_total(values)
 
     gdp_vec = None
     if gdp is not None:

@@ -53,6 +53,17 @@ def truncate_code(code: str, digits: int) -> str:
     return code[:digits]
 
 
+def cell_total(values: Sequence[float]) -> float:
+    """Exactly rounded, order-free sum of one cell; ValueError if not finite."""
+    try:
+        total = math.fsum(values)
+    except OverflowError:
+        total = math.inf
+    if not math.isfinite(total):
+        raise ValueError("aggregated trade value exceeds the float range")
+    return total
+
+
 class FlowNetwork:
     """Immutable flow network: node roster plus nonnegative flux matrix.
 
@@ -196,7 +207,7 @@ def build_network(records: Iterable, product: str, year: int, digit_level: int,
         warnings.warn(f"dropped {self_loops} self-loop record(s) worth "
                       f"{self_loop_value}", FlowDataWarning, stacklevel=2)
 
-    totals = {pair: math.fsum(values) for pair, values in cells.items()}
+    totals = {pair: cell_total(values) for pair, values in cells.items()}
     if min_flow > 0.0:
         totals = {pair: v for pair, v in totals.items() if v >= min_flow}
 

@@ -1,15 +1,14 @@
 """Batch orchestration: per-product analyses, exponent distributions, time
 series, and correlation against complexity columns.
 
-Batch results are a pure function of (records, parameters): per-product work
-may run on a thread pool, but results are always reduced in product-code
-order, so parallel and serial runs are identical.
+Batch results are a pure function of (records, parameters), listed in
+product-code order.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from collections.abc import Iterable, Mapping
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -75,14 +74,13 @@ def analyze_product(records: Iterable[TradeRecord], product: str, year: int,
 
 def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
           min_countries: int = 10, min_flow: float = 0.0,
-          workers: int | None = None, topk: int = 10) -> BatchResult:
+          topk: int = 10) -> BatchResult:
     """Analyze every product at ``digit_level`` for one year, plus the
     integrated all-products network.
 
     Products with fewer retained countries than ``min_countries`` or failing
     with a singular balance / degenerate fit land in the skip list with the
-    reason.  ``workers`` > 1 runs products on a thread pool; the output is
-    identical to a serial run.
+    reason.
     """
     if min_countries < 3:
         raise ValueError(f"min_countries must be at least 3, got {min_countries}")
@@ -90,35 +88,28 @@ def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
     if not year_records:
         raise EmptySelection(f"no records for year {year}")
     products = enumerate_products(year_records, digit_level)
-
-    def run(code: str):
-        try:
-            net = build_network(year_records, code, year, digit_level,
-                                min_flow=min_flow)
-            if net.n < min_countries:
-                raise TooFewPoints(f"{net.n} countries < {min_countries}")
-            return code, summarize_network(net, topk=topk), None
-        except (TooFewPoints, DegenerateFit, SingularNetwork, EmptySelection) as exc:
-            return code, None, f"{type(exc).__name__}: {exc}"
-
-    jobs = products + [ALL]
-    if workers is not None and workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, jobs))
-    else:
-        outcomes = [run(code) for code in jobs]
+    # Codes shorter than the digit level fall under keys never enumerated.
+    groups: dict[str, list[TradeRecord]] = defaultdict(list)
+    for rec in year_records:
+        groups[rec.product[:digit_level]].append(rec)
 
     results = []
     integrated = None
     skipped = []
-    for code, result, reason in sorted(outcomes, key=lambda o: (o[0] == ALL, o[0])):
-        if result is not None:
-            if code == ALL:
-                integrated = result
-            else:
-                results.append(result)
+    jobs = [(code, groups[code]) for code in products] + [(ALL, year_records)]
+    for code, group in jobs:
+        try:
+            net = build_network(group, code, year, digit_level, min_flow=min_flow)
+            if net.n < min_countries:
+                raise TooFewPoints(f"{net.n} countries < {min_countries}")
+            result = summarize_network(net, topk=topk)
+        except (TooFewPoints, DegenerateFit, SingularNetwork, EmptySelection) as exc:
+            skipped.append(SkippedProduct(code, f"{type(exc).__name__}: {exc}"))
+            continue
+        if code == ALL:
+            integrated = result
         else:
-            skipped.append(SkippedProduct(code, reason))
+            results.append(result)
     return BatchResult(results, integrated, skipped)
 
 

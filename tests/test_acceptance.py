@@ -198,9 +198,6 @@ def test_8_cli_golden_files(tmp_path):
               "--format", "csv"), "batch_corpus.csv"),
             (("batch", "--input", str(DATA / "corpus_two_products.csv"),
               "--year", "2000", "--digits", "1", "--min-countries", "3",
-              "--format", "csv", "--workers", "6"), "batch_corpus.csv"),
-            (("batch", "--input", str(DATA / "corpus_two_products.csv"),
-              "--year", "2000", "--digits", "1", "--min-countries", "3",
               "--format", "json"), "batch_corpus.json"),
         ]
         for i, (argv, golden) in enumerate(cases):
@@ -227,7 +224,7 @@ def test_9_dataset_gated_reproduction():
     with criterion(9, "dataset-gated reproduction"):
         records = fa.parse_trades(Path(trades_path))
         year_records = [r for r in records if r.year == 2000]
-        outcome = fa.batch(year_records, 2000, 1, min_countries=10, workers=8)
+        outcome = fa.batch(year_records, 2000, 1, min_countries=10)
         by_code = {r.product: r for r in outcome.results}
         for code, (eta, gini_value) in expected.items():
             assert code in by_code, f"code {code} missing from batch results"
@@ -252,7 +249,6 @@ def test_9_dataset_gated_reproduction():
                    for a in fa.parse_attributes(Path(gdp_path), kind="gdp")}
             table = fa.complexity_table(year_records, 2000, 2, gdp=gdp)
             column = fa.prody_all(table)
-            two_digit = fa.batch(year_records, 2000, 2, min_countries=10,
-                                 workers=8)
+            two_digit = fa.batch(year_records, 2000, 2, min_countries=10)
             r, _ = fa.correlate_complexity(two_digit.results, column)
             assert r == pytest.approx(0.37, abs=0.1)

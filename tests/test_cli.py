@@ -40,13 +40,15 @@ class TestGoldenFiles:
         assert code == 0
         assert text == (GOLDEN / golden).read_text(encoding="utf-8")
 
-    def test_parallel_batch_matches_golden_bytes(self, tmp_path):
-        code, text = run(tmp_path, "batch", "--input", CORPUS,
-                         "--year", "2000", "--digits", "1",
-                         "--min-countries", "3", "--format", "csv",
-                         "--workers", "4")
+    @pytest.mark.parametrize("argv,golden", [
+        (("backbone", "--input", FIXTURE, "--year", "2000", "--product", "71",
+          "--digits", "2", "--format", "dot"), "backbone_fixture.dot"),
+        (("synth", "star", "--n", "5"), "synth_star.csv"),
+    ])
+    def test_footer_outputs(self, tmp_path, argv, golden):
+        code, text = run(tmp_path, *argv)
         assert code == 0
-        assert text == (GOLDEN / "batch_corpus.csv").read_text(encoding="utf-8")
+        assert text == (GOLDEN / golden).read_text(encoding="utf-8")
 
     def test_repeated_runs_byte_identical(self, tmp_path):
         args = ("analyze", "--input", FIXTURE, "--year", "2000",
@@ -156,6 +158,29 @@ class TestExitCodes:
     def test_bad_flag_is_one(self, tmp_path, capsys):
         assert main(["analyze", "--nope"]) == 1
         capsys.readouterr()
+
+    def test_removed_workers_flag_is_one(self, tmp_path, capsys):
+        code, text = run(tmp_path, "batch", "--input", CORPUS, "--year", "2000",
+                         "--workers", "4")
+        assert code == 1 and text is None
+        assert "--workers" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["analyze", "prody"])
+    def test_overflowing_cell_is_one_without_traceback(self, tmp_path, capsys,
+                                                       command):
+        trades = tmp_path / "huge.csv"
+        trades.write_text("year,exporter,importer,product,value\n"
+                          "2000,AAA,BBB,1,1e308\n2000,AAA,BBB,1,1e308\n"
+                          "2000,BBB,CCC,1,5\n2000,CCC,AAA,1,3\n")
+        gdp = tmp_path / "gdp.csv"
+        gdp.write_text("country,value\nAAA,1000\nBBB,2000\nCCC,3000\n")
+        extra = (("--product", "1") if command == "analyze"
+                 else ("--gdp", str(gdp)))
+        code, text = run(tmp_path, command, "--input", str(trades),
+                         "--year", "2000", "--digits", "1", *extra)
+        err = capsys.readouterr().err
+        assert code == 1 and text is None
+        assert err.startswith("flowallometry: error:") and "Traceback" not in err
 
 
 class TestSynthCommand:

@@ -40,15 +40,22 @@ class TestGini:
         with pytest.raises(ValueError):
             gini([1.0, -1.0])
 
+    def test_subnormal_values(self):
+        assert gini([5e-324, 0.0]) == 0.5
+        with pytest.raises(AllZero):
+            gini(np.array([5e-324, 5e-324]) * 0.5)
+
     @given(arrays(float, st.integers(2, 60),
-                  elements=st.floats(0, 1e9, allow_nan=False)))
+                  elements=st.floats(0, 1e9, allow_nan=False,
+                                     allow_subnormal=False)))
     def test_sorted_form_equals_pairwise_oracle(self, values):
         if values.sum() == 0:
             return
         assert gini(values) == pytest.approx(gini_pairwise(values), abs=1e-9)
 
     @given(arrays(float, st.integers(2, 40),
-                  elements=st.floats(0.0, 1e6, allow_nan=False)),
+                  elements=st.floats(0.0, 1e6, allow_nan=False,
+                                     allow_subnormal=False)),
            st.floats(1e-6, 1e6))
     def test_scale_invariant_and_bounded(self, values, scale):
         if values.sum() == 0:

@@ -1,9 +1,12 @@
+import random
+
 import numpy as np
 import pytest
 
 from flowallometry import (ALL, EmptySelection, TooFewPoints, TradeRecord,
-                           batch, correlate_complexity, histogram, random_flow,
-                           timeseries)
+                           analyze_product, batch, complexity_table,
+                           correlate_complexity, histogram, prody_all,
+                           random_flow, timeseries)
 from flowallometry.pipeline import ProductResult
 from flowallometry.synth import to_records
 
@@ -14,6 +17,23 @@ def corpus(year=2000):
     records += to_records(random_flow(12, density=0.5, seed=1), "1", year)
     records += to_records(random_flow(14, density=0.5, seed=2), "2", year)
     records += [TradeRecord(year, "N0000", "N0001", "3", 5.0)]
+    return records
+
+
+def mixed_corpus():
+    """Two years of 4-digit records under three 2-digit codes, many rows per
+    cell and widely spread values, plus a short code and a self-loop."""
+    rng = np.random.default_rng(5)
+    countries = [f"C{i:02d}" for i in range(12)]
+    records = []
+    for year in (1999, 2000):
+        for _ in range(600):
+            src, dst = rng.choice(12, size=2, replace=False)
+            code = f"{rng.choice(['11', '12', '27'])}{rng.integers(0, 100):02d}"
+            records.append(TradeRecord(year, countries[src], countries[dst],
+                                       code, float(rng.lognormal(3.0, 3.0))))
+    records.append(TradeRecord(2000, "C00", "C01", "1", 7.0))
+    records.append(TradeRecord(2000, "C02", "C02", "1100", 3.0))
     return records
 
 
@@ -41,10 +61,27 @@ class TestBatch:
                 + [s.product for s in outcome.skipped])
         assert sorted(seen) == ["1", "2", "3"]
 
-    def test_parallel_equals_serial(self):
-        serial = batch(corpus(), 2000, 1, min_countries=3, workers=None)
-        threaded = batch(corpus(), 2000, 1, min_countries=3, workers=4)
-        assert serial == threaded
+    @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
+    def test_rows_equal_analyze_product(self):
+        records = mixed_corpus()
+        year_records = [r for r in records if r.year == 2000]
+        outcome = batch(records, 2000, 2, min_countries=3)
+        assert [r.product for r in outcome.results] == ["11", "12", "27"]
+        for row in outcome.results + [outcome.integrated]:
+            assert row == analyze_product(year_records, row.product, 2000, 2)
+
+    @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
+    def test_record_order_is_bitwise_irrelevant(self):
+        records = mixed_corpus()
+        shuffled = list(records)
+        random.Random(3).shuffle(shuffled)
+        assert (batch(shuffled, 2000, 2, min_countries=3)
+                == batch(records, 2000, 2, min_countries=3))
+        gdp = {f"C{i:02d}": 1000.0 * (i + 1) for i in range(12)}
+        table = complexity_table(records, 2000, 2, gdp=gdp)
+        other = complexity_table(shuffled, 2000, 2, gdp=gdp)
+        assert table.exports.tobytes() == other.exports.tobytes()
+        assert prody_all(table) == prody_all(other)
 
     def test_empty_year(self):
         with pytest.raises(EmptySelection):
