@@ -35,19 +35,21 @@ class Backbone:
     sizes: dict[str, float]  # trading volume: max(inflow, outflow), dollars
 
 
-def _mass_quantile(fractions: np.ndarray, target: float) -> float:
-    """Smallest fraction value v with sum of fractions <= v at least ``target``.
+def _mass_quantiles(fractions: np.ndarray, target: float) -> np.ndarray:
+    """Per row, the smallest fraction v with sum of fractions <= v at least
+    ``target``.
 
-    The fractions of one endpoint sum to 1, so they form a probability
-    distribution over their own values; this is that distribution's quantile.
-    A small slack absorbs cumulative-sum rounding so ties stay kept.
+    Each nonzero row of fractions sums to 1, so it forms a probability
+    distribution over its own values; this is that distribution's quantile.
+    Ties need no grouping: sorted, they sit side by side, so the first copy
+    whose running sum reaches the target names the same value as the whole
+    tie group would.  A small slack absorbs cumulative-sum rounding so ties
+    stay kept.
     """
-    values, inverse = np.unique(fractions, return_inverse=True)
-    mass = np.zeros(len(values))
-    np.add.at(mass, inverse, fractions)
-    cumulative = np.cumsum(mass)
-    idx = int(np.searchsorted(cumulative, target - 1e-12, side="left"))
-    return float(values[min(idx, len(values) - 1)])
+    ranked = np.sort(fractions, axis=1)
+    below = (np.cumsum(ranked, axis=1) < target - 1e-12).sum(axis=1)
+    idx = np.minimum(below, ranked.shape[1] - 1)
+    return ranked[np.arange(len(ranked)), idx]
 
 
 def extract(net: FlowNetwork, alpha: float = 0.05) -> Backbone:
@@ -62,26 +64,14 @@ def extract(net: FlowNetwork, alpha: float = 0.05) -> Backbone:
     flux = net.flux
     out_strength = flux.sum(axis=1)
     in_strength = flux.sum(axis=0)
+    # Isolated directions divide by 1: their rows hold no edge to keep.
+    out_fraction = flux / np.where(out_strength > 0, out_strength, 1.0)[:, None]
+    in_fraction = flux / np.where(in_strength > 0, in_strength, 1.0)
     target = 1.0 - alpha
-
-    out_threshold = np.zeros(net.n)
-    in_threshold = np.zeros(net.n)
-    for i in range(net.n):
-        if out_strength[i] > 0:
-            row = flux[i]
-            out_threshold[i] = _mass_quantile(
-                row[row > 0] / out_strength[i], target)
-        if in_strength[i] > 0:
-            col = flux[:, i]
-            in_threshold[i] = _mass_quantile(
-                col[col > 0] / in_strength[i], target)
-
-    kept = set()
-    for src, dst in zip(*np.nonzero(flux)):
-        weight = flux[src, dst]
-        if (weight / out_strength[src] >= out_threshold[src]
-                or weight / in_strength[dst] >= in_threshold[dst]):
-            kept.add((net.nodes[src], net.nodes[dst]))
+    keep = (flux > 0) & (
+        (out_fraction >= _mass_quantiles(out_fraction, target)[:, None])
+        | (in_fraction >= _mass_quantiles(in_fraction.T, target)))
+    kept = {(net.nodes[src], net.nodes[dst]) for src, dst in zip(*np.nonzero(keep))}
 
     roles = {net.nodes[i]: EXPORTER if out_strength[i] > in_strength[i] else IMPORTER
              for i in range(net.n)}

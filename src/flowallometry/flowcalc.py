@@ -58,33 +58,33 @@ def coefficients(net: FlowNetwork, thru: np.ndarray) -> np.ndarray:
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pivoted dense solve of ``matrix @ x = rhs`` with a conditioning guard."""
+    """Pivoted dense solve of ``matrix @ x = rhs``; SingularNetwork if singular."""
     try:
-        solution = np.linalg.solve(matrix, rhs)
-        # 1-norm condition number; the exact inverse is cheap at these sizes.
-        cond = np.linalg.cond(matrix, 1)
+        return np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(f"flow balance is singular: {exc}") from exc
+
+
+def _check_condition(cond: float) -> None:
     if not np.isfinite(cond) or cond > COND_LIMIT:
         raise SingularNetwork(
             f"flow balance nearly singular (condition estimate {cond:.3e})")
-    return solution
 
 
-def fundamental(coeff: np.ndarray, damping: float = 0.0) -> np.ndarray:
+def fundamental(coeff: np.ndarray) -> np.ndarray:
     """Fundamental matrix U = (I - M)^-1 via a pivoted dense solve.
 
-    Raises SingularNetwork when I - M is singular or its condition estimate
-    exceeds ``COND_LIMIT``; that happens exactly when the network contains a
-    closed circulation whose every node is throughflow-saturated.  ``damping``
-    is an opt-in fallback that shrinks M by (1 - damping) to regularize such
-    networks; it is never applied silently.
+    Raises SingularNetwork when I - M is singular or its 1-norm condition
+    number exceeds ``COND_LIMIT``; that happens exactly when the network
+    contains a closed circulation whose every node is throughflow-saturated.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must be in [0, 1), got {damping}")
     n = coeff.shape[0]
-    shrunk = (1.0 - damping) * coeff if damping else coeff
-    return _solve(np.eye(n) - shrunk, np.eye(n))
+    matrix = np.eye(n) - coeff
+    fund = _solve(matrix, np.eye(n))
+    # Equals np.linalg.cond(matrix, 1), which would invert matrix a second time.
+    _check_condition(float(np.linalg.norm(matrix, 1))
+                     * float(np.linalg.norm(fund, 1)))
+    return fund
 
 
 def impacts_closed_form(source: np.ndarray, fund: np.ndarray) -> np.ndarray:
@@ -99,7 +99,7 @@ def impacts_closed_form(source: np.ndarray, fund: np.ndarray) -> np.ndarray:
     return (source @ fund) * fund.sum(axis=1) / diag
 
 
-def impact_by_extraction(net: FlowNetwork, i: int, damping: float = 0.0) -> float:
+def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     """Impact of node ``i`` by brute-force hypothetical extraction.
 
     Zeroes the node's inbound coefficient column and its source, re-solves
@@ -110,13 +110,13 @@ def impact_by_extraction(net: FlowNetwork, i: int, damping: float = 0.0) -> floa
     thru = throughflow(net)
     src = sources(net, thru)
     coeff = coefficients(net, thru)
-    if damping:
-        coeff = (1.0 - damping) * coeff
     reduced_coeff = coeff.copy()
     reduced_coeff[:, i] = 0.0
     reduced_src = src.copy()
     reduced_src[i] = 0.0
-    reduced_thru = _solve(np.eye(net.n) - reduced_coeff.T, reduced_src)
+    matrix = np.eye(net.n) - reduced_coeff.T
+    reduced_thru = _solve(matrix, reduced_src)
+    _check_condition(np.linalg.cond(matrix, 1))
     return float((thru - reduced_thru).sum())
 
 
@@ -128,12 +128,12 @@ def analyze(net: FlowNetwork, damping: float = 0.0) -> FlowAnalysis:
     solvability on saturated circulations, so leave it 0 unless analyze has
     already raised SingularNetwork.
     """
+    if not 0.0 <= damping < 1.0:
+        raise ValueError(f"damping must be in [0, 1), got {damping}")
     thru = throughflow(net)
     src = sources(net, thru)
     coeff = coefficients(net, thru)
     if damping:
-        if not 0.0 < damping < 1.0:
-            raise ValueError(f"damping must be in [0, 1), got {damping}")
         coeff = (1.0 - damping) * coeff
     fund = fundamental(coeff)
     impact = impacts_closed_form(src, fund)

@@ -46,20 +46,19 @@ class CountryAttribute:
     value: float
 
 
+def _text(source) -> str:
+    """The text of a source: bytes, a path (a str with no newline), a str of
+    text, or a file-like object yielding str or bytes."""
+    if isinstance(source, (str, Path)) and "\n" not in str(source):
+        return Path(source).read_text(encoding="utf-8")
+    if not isinstance(source, (str, bytes)):
+        source = source.read()
+    return source.decode("utf-8") if isinstance(source, bytes) else source
+
+
 def _rows(source, expected_header):
     """Yield (data_row_index, fields) from CSV text, bytes, path, or file-like."""
-    if isinstance(source, bytes):
-        text = source.decode("utf-8")
-    elif isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
-    elif isinstance(source, str):
-        text = source
-    else:
-        text = source.read()
-        if isinstance(text, bytes):
-            text = text.decode("utf-8")
-
-    reader = csv.reader(io.StringIO(text))
+    reader = csv.reader(io.StringIO(_text(source)))
     header = None
     row_index = 0
     for fields in reader:
@@ -178,12 +177,8 @@ def parse_product_column(source) -> dict[str, float]:
 
 def parse_exclusions(source) -> set[str]:
     """Parse an exclusion list: one product code per line, ``#`` comments allowed."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        text = Path(source).read_text(encoding="utf-8")
-    else:
-        text = source if isinstance(source, str) else source.read()
     codes = set()
-    for line in text.splitlines():
+    for line in _text(source).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue

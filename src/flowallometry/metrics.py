@@ -136,15 +136,24 @@ def rca(table: ComplexityTable, country: str, product: str) -> float:
     return float(shares[c, p]) / denom
 
 
-def rca_column(table: ComplexityTable, product: str) -> np.ndarray:
-    """Comparative advantage of every country on one product (zero rows for
-    countries that export nothing overall)."""
-    p = table.product_index(product)
-    shares, _ = _share_matrix(table)
+def _rca_column(shares: np.ndarray, p: int, product: str) -> np.ndarray:
     denom = float(shares[:, p].sum())
     if denom == 0.0:
         raise NoMarket(f"no country exports product {product}")
     return shares[:, p] / denom
+
+
+def rca_column(table: ComplexityTable, product: str) -> np.ndarray:
+    """Comparative advantage of every country on one product (zero rows for
+    countries that export nothing overall)."""
+    shares, _ = _share_matrix(table)
+    return _rca_column(shares, table.product_index(product), product)
+
+
+def _prody(table: ComplexityTable, shares: np.ndarray, p: int) -> float:
+    if table.gdp_percap is None:
+        raise ValueError("table has no gdp_percap column")
+    return float(table.gdp_percap @ _rca_column(shares, p, table.products[p]))
 
 
 def prody(table: ComplexityTable, product: str) -> float:
@@ -153,15 +162,16 @@ def prody(table: ComplexityTable, product: str) -> float:
     A convex combination of the exporter GDPs, so the result always lies in
     [min gdp, max gdp].
     """
-    if table.gdp_percap is None:
-        raise ValueError("table has no gdp_percap column")
-    return float(table.gdp_percap @ rca_column(table, product))
+    shares, _ = _share_matrix(table)
+    return _prody(table, shares, table.product_index(product))
 
 
 def prody_all(table: ComplexityTable) -> dict[str, float]:
     """Sophistication value for every marketed product, keyed by code."""
-    return {p: prody(table, p) for p in table.products
-            if table.exports[:, table.product_index(p)].sum() > 0}
+    shares, _ = _share_matrix(table)
+    marketed = table.exports.sum(axis=0) > 0
+    return {code: _prody(table, shares, p)
+            for p, code in enumerate(table.products) if marketed[p]}
 
 
 def pearson(x, y) -> float:

@@ -169,18 +169,18 @@ def timeseries(records: Iterable[TradeRecord], digit_level: int,
                min_flow: float = 0.0) -> dict[str, dict[int, float | None]]:
     """Per-product exponent by year; missing product-year combinations are
     explicit ``None`` gaps, never zeros."""
-    records = list(records)
-    if years is None:
-        years = sorted({r.year for r in records})
-    years = list(years)
+    by_year: dict[int, list[TradeRecord]] = defaultdict(list)
+    for rec in records:
+        by_year[rec.year].append(rec)
+    years = sorted(by_year) if years is None else list(years)
     if not years:
         raise ValueError("no years requested")
 
     per_year: dict[int, dict[str, float]] = {}
     for yr in years:
         try:
-            outcome = batch(records, yr, digit_level, min_countries=min_countries,
-                            min_flow=min_flow)
+            outcome = batch(by_year.get(yr, ()), yr, digit_level,
+                            min_countries=min_countries, min_flow=min_flow)
             per_year[yr] = {r.product: r.eta for r in outcome.results}
         except EmptySelection:
             per_year[yr] = {}

@@ -7,6 +7,37 @@ from flowallometry import FlowNetwork, extract, random_flow, star
 from conftest import random_net
 
 
+def mass_quantile(fractions, target):
+    """Reference rule, one endpoint at a time: the smallest fraction value v
+    with sum of fractions <= v at least ``target`` (tied values pooled)."""
+    values, inverse = np.unique(fractions, return_inverse=True)
+    mass = np.zeros(len(values))
+    np.add.at(mass, inverse, fractions)
+    cumulative = np.cumsum(mass)
+    idx = int(np.searchsorted(cumulative, target - 1e-12, side="left"))
+    return float(values[min(idx, len(values) - 1)])
+
+
+def reference_kept(net, alpha):
+    """Edges kept by the backbone rule, evaluated node by node and edge by edge."""
+    flux = net.flux
+    out_strength = flux.sum(axis=1)
+    in_strength = flux.sum(axis=0)
+    out_threshold = np.zeros(net.n)
+    in_threshold = np.zeros(net.n)
+    for i in range(net.n):
+        row, col = flux[i], flux[:, i]
+        if out_strength[i] > 0:
+            out_threshold[i] = mass_quantile(row[row > 0] / out_strength[i],
+                                             1.0 - alpha)
+        if in_strength[i] > 0:
+            in_threshold[i] = mass_quantile(col[col > 0] / in_strength[i],
+                                            1.0 - alpha)
+    return {(net.nodes[s], net.nodes[d]) for s, d in zip(*np.nonzero(flux))
+            if flux[s, d] / out_strength[s] >= out_threshold[s]
+            or flux[s, d] / in_strength[d] >= in_threshold[d]}
+
+
 def hub_with_heavy_spoke(n_light=99, heavy=10.0):
     edges = {("HUB", "AAA"): heavy}
     edges.update({("HUB", f"L{k:03d}"): 1.0 for k in range(n_light)})
@@ -33,9 +64,7 @@ class TestRule:
         flux = net.flux
         hub = net.index("HUB")
         out = flux[hub].sum()
-        from flowallometry.backbone import _mass_quantile
-
-        threshold = _mass_quantile(flux[hub][flux[hub] > 0] / out, 0.95)
+        threshold = mass_quantile(flux[hub][flux[hub] > 0] / out, 0.95)
         assert threshold == pytest.approx(10.0 / 109.0)
         assert 1.0 / 109.0 < threshold
 
@@ -49,6 +78,19 @@ class TestRule:
         for alpha in (0.0, -0.1, 1.5):
             with pytest.raises(ValueError):
                 extract(net, alpha)
+
+
+class TestReference:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_extract_matches_node_by_node_rule(self, seed):
+        rng = np.random.default_rng(900 + seed)
+        net = random_net(rng, back=float(rng.uniform(0.0, 0.5)))
+        # Rounding every weight up to one of 1..4 makes many fractions tie.
+        tied = FlowNetwork(net.nodes, np.ceil(net.flux / 25.0),
+                           net.product, net.year)
+        for case in (net, tied):
+            for alpha in (0.01, 0.05, 0.3, 0.6, 0.99, 1.0):
+                assert extract(case, alpha).kept == reference_kept(case, alpha)
 
 
 class TestInvariants:

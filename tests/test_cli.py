@@ -115,6 +115,40 @@ class TestInputHandling:
         assert doc["n"] == 3
         assert [n["throughflow"] for n in doc["nodes"]] == [3.0, 2.0, 2.0]
 
+    @pytest.mark.parametrize("argv", [
+        ("batch", "--min-countries", "3", "--format", "csv"),
+        ("batch", "--min-countries", "3", "--format", "json"),
+        ("prody", "--gdp", "GDP", "--format", "csv"),
+        ("prody", "--gdp", "GDP", "--format", "json"),
+    ])
+    def test_split_input_matches_single_file(self, tmp_path, argv):
+        gdp = tmp_path / "gdp.csv"
+        gdp.write_text("country,value\n" + "\n".join(
+            f"N{i:04d},{10000 + 1000 * i}" for i in range(14)) + "\n")
+        header, *rows = Path(CORPUS).read_text().splitlines()
+        halves = ([], [])
+        for k, row in enumerate(rows):
+            # every third cell is split into three rows across both files
+            if k % 3 == 0:
+                *key, value = row.split(",")
+                for half, share in ((0, 0.3), (0, 0.45), (1, 0.25)):
+                    halves[half].append(",".join([*key, repr(float(value) * share)]))
+            else:
+                halves[k % 2].append(row)
+        paths = [tmp_path / name for name in ("single.csv", "a.csv", "b.csv")]
+        for path, body in zip(paths, (halves[0] + halves[1], *halves)):
+            path.write_text("\n".join([header, *body]) + "\n")
+        single, a, b = (str(p) for p in paths)
+        argv = [str(gdp) if arg == "GDP" else arg for arg in argv]
+        common = ("--year", "2000", "--digits", "1", *argv[1:])
+        outputs = []
+        for inputs in ((single,), (a, b), (b, a)):
+            flags = [flag for path in inputs for flag in ("--input", path)]
+            code, text = run(tmp_path, argv[0], *flags, *common)
+            assert code == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_skip_list_lands_in_csv_comments(self, tmp_path):
         trades = tmp_path / "trades.csv"
         rows = ["year,exporter,importer,product,value"]

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -71,6 +73,28 @@ class TestFundamentalEdgeCases:
         net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("BBB", "AAA"): 5.0})
         result = analyze(net, damping=0.01)
         assert np.all(np.isfinite(result.impact))
+
+    @pytest.mark.parametrize("damping", [-0.5, 1.0, float("nan")])
+    def test_analyze_rejects_damping_outside_unit_interval(self, damping):
+        net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("BBB", "AAA"): 5.0})
+        with pytest.raises(ValueError, match="damping"):
+            analyze(net, damping=damping)
+
+    def test_only_analyze_takes_damping(self, three_node_net):
+        with pytest.raises(TypeError):
+            fundamental(np.zeros((2, 2)), damping=0.1)
+        with pytest.raises(TypeError):
+            impact_by_extraction(three_node_net, 0, damping=0.1)
+
+    def test_condition_estimate_is_the_one_norm_condition_number(self):
+        # a saturated 3-cycle fed by a 1e-11 leak: condition about 1.2e12
+        net = FlowNetwork.from_edges({("AAA", "BBB"): 1.0, ("BBB", "CCC"): 1.0,
+                                      ("CCC", "AAA"): 1.0, ("DDD", "AAA"): 1e-11})
+        coeff = coefficients(net, throughflow(net))
+        cond = np.linalg.cond(np.eye(net.n) - coeff, 1)
+        assert cond > 1e12
+        with pytest.raises(SingularNetwork, match=re.escape(f"estimate {cond:.3e}")):
+            fundamental(coeff)
 
     def test_extraction_surfaces_surviving_saturated_cycle(self):
         # saturated cycle AAA<->BBB plus a separate component CCC->DDD:

@@ -100,6 +100,13 @@ class TestProductColumnAndExclusions:
     def test_exclusions(self):
         assert parse_exclusions("# outliers\n93\n68\n") == {"93", "68"}
 
+    def test_exclusions_from_bytes_path_and_file_like(self, tmp_path):
+        path = tmp_path / "exclude.txt"
+        path.write_text("93\n# note\n68\n")
+        for source in (b"93\n# note\n68\n", io.BytesIO(b"93\n68\n"),
+                       io.StringIO("93\n68\n"), path, str(path)):
+            assert parse_exclusions(source) == {"93", "68"}
+
 
 class TestEnumerateProducts:
     def test_truncates_to_level(self):

@@ -147,6 +147,29 @@ class TestTimeseries:
         series = timeseries(corpus(2000), 1, min_countries=3)
         assert all(len(points) == 1 for points in series.values())
 
+    @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
+    def test_equals_per_year_batch(self, monkeypatch):
+        records = corpus(1998) + corpus(1999) + mixed_corpus()
+        years = (1998, 1999, 2000)
+        expected = {yr: {r.product: r.eta
+                         for r in batch(records, yr, 1, min_countries=3).results}
+                    for yr in years}
+        handed = []
+
+        def counting_batch(year_records, *args, **kwargs):
+            year_records = list(year_records)
+            handed.append(len(year_records))
+            return batch(year_records, *args, **kwargs)
+
+        monkeypatch.setattr("flowallometry.pipeline.batch", counting_batch)
+        series = timeseries(records, 1, min_countries=3)
+        assert all(len(expected[yr]) == 2 for yr in years)
+        codes = sorted({code for fits in expected.values() for code in fits})
+        assert series == {code: {yr: expected[yr].get(code) for yr in years}
+                          for code in codes}
+        # each year's batch sees only that year's records
+        assert sum(handed) == len(records)
+
 
 class TestCorrelate:
     def test_identical_column_gives_unit_correlation(self):
