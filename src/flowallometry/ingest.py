@@ -14,13 +14,12 @@ from __future__ import annotations
 import csv
 import io
 import math
-import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateCountry, FlowDataWarning, ParseError
-from .netcore import country_id, product_code
+from .errors import DuplicateCountry, ParseError
+from .netcore import _product_groups, _warn_short, country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
 ATTRIBUTES_HEADER = ("country", "value")
@@ -48,36 +47,48 @@ class CountryAttribute:
 
 def _text(source) -> str:
     """The text of a source: bytes, a path (a str with no newline), a str of
-    text, or a file-like object yielding str or bytes."""
-    if isinstance(source, (str, Path)) and "\n" not in str(source):
-        return Path(source).read_text(encoding="utf-8")
-    if not isinstance(source, (str, bytes)):
-        source = source.read()
-    return source.decode("utf-8") if isinstance(source, bytes) else source
+    text, or a file-like object yielding str or bytes.  ParseError if the
+    bytes are not UTF-8."""
+    try:
+        if isinstance(source, (str, Path)) and "\n" not in str(source):
+            return Path(source).read_text(encoding="utf-8")
+        if not isinstance(source, (str, bytes)):
+            source = source.read()
+        return source.decode("utf-8") if isinstance(source, bytes) else source
+    except UnicodeDecodeError as exc:
+        raise ParseError(0, None, f"not UTF-8: {exc}") from None
 
 
 def _rows(source, expected_header):
-    """Yield (data_row_index, fields) from CSV text, bytes, path, or file-like."""
+    """Yield (data_row_index, fields) from CSV text, bytes, path, or file-like.
+
+    A malformed line (an oversized field, a NUL byte) raises ParseError
+    naming the data row being read, or row 0 before the header.
+    """
     reader = csv.reader(io.StringIO(_text(source)))
     header = None
     row_index = 0
-    for fields in reader:
-        if not fields or (len(fields) == 1 and not fields[0].strip()):
-            continue
-        if fields[0].lstrip().startswith("#"):
-            continue
-        if header is None:
-            header = tuple(f.strip() for f in fields)
-            if header != expected_header:
-                raise ParseError(0, None,
-                                 f"expected header {','.join(expected_header)}, "
-                                 f"got {','.join(header)}")
-            continue
-        row_index += 1
-        if len(fields) != len(expected_header):
-            raise ParseError(row_index, None,
-                             f"expected {len(expected_header)} fields, got {len(fields)}")
-        yield row_index, [f.strip() for f in fields]
+    try:
+        for fields in reader:
+            if not fields or (len(fields) == 1 and not fields[0].strip()):
+                continue
+            if fields[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = tuple(f.strip() for f in fields)
+                if header != expected_header:
+                    raise ParseError(0, None,
+                                     f"expected header {','.join(expected_header)}, "
+                                     f"got {','.join(header)}")
+                continue
+            row_index += 1
+            if len(fields) != len(expected_header):
+                raise ParseError(row_index, None,
+                                 f"expected {len(expected_header)} fields, got {len(fields)}")
+            yield row_index, [f.strip() for f in fields]
+    except csv.Error as exc:
+        raise ParseError(row_index + 1 if header is not None else 0, None,
+                         str(exc)) from None
     if header is None:
         raise ParseError(0, None, "empty file: missing header")
 
@@ -178,11 +189,16 @@ def parse_product_column(source) -> dict[str, float]:
 def parse_exclusions(source) -> set[str]:
     """Parse an exclusion list: one product code per line, ``#`` comments allowed."""
     codes = set()
+    row = 0
     for line in _text(source).splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        codes.add(product_code(line))
+        row += 1
+        try:
+            codes.add(product_code(line))
+        except ValueError as exc:
+            raise ParseError(row, "product", str(exc)) from None
     return codes
 
 
@@ -192,16 +208,6 @@ def enumerate_products(records: Iterable[TradeRecord], digit_level: int) -> list
     Codes shorter than the digit level are excluded with a counted warning
     rather than padded into invented categories.
     """
-    if digit_level < 1 or digit_level > 4:
-        raise ValueError(f"digit level must be in 1..4, got {digit_level}")
-    codes = set()
-    short = 0
-    for rec in records:
-        if len(rec.product) < digit_level:
-            short += 1
-            continue
-        codes.add(rec.product[:digit_level])
-    if short:
-        warnings.warn(f"excluded {short} record(s) with codes shorter than "
-                      f"{digit_level} digits", FlowDataWarning, stacklevel=2)
-    return sorted(codes)
+    groups, group = _product_groups([rec.product for rec in records], digit_level)
+    _warn_short(group, digit_level)
+    return groups

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
@@ -19,7 +18,7 @@ import numpy as np
 
 from .errors import (AllZero, FlowDataWarning, NoExports, NoMarket,
                      TooFewPoints, ZeroVariance)
-from .netcore import cell_total
+from .netcore import _cells, _encode, _positions, _warn_short
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,9 @@ def inequality_report(countries: Sequence[str], impact, k: int = 10) -> Inequali
     Ties in impact rank lexicographically by country for determinism.
     """
     x = np.asarray(impact, dtype=float)
-    order = sorted(range(len(countries)), key=lambda i: (-x[i], countries[i]))
-    top = tuple((countries[i], float(x[i])) for i in order[:k])
+    values = x.tolist()
+    order = sorted(range(len(countries)), key=lambda i: (-values[i], countries[i]))
+    top = tuple((countries[i], values[i]) for i in order[:k])
     return InequalityReport(gini(x), dominance_share(x), top)
 
 
@@ -200,32 +200,22 @@ def complexity_table(records: Iterable, year: int, digit_level: int,
     table is independent of record order.  When ``gdp`` is given it must
     cover every exporting country.
     """
-    cells: dict[tuple[str, str], list[float]] = defaultdict(list)
-    short = 0
-    loops = 0
-    for rec in records:
-        if rec.year != year:
-            continue
-        if len(rec.product) < digit_level:
-            short += 1
-            continue
-        if rec.exporter == rec.importer:
-            loops += 1
-            continue
-        cells[(rec.exporter, rec.product[:digit_level])].append(rec.value)
-    if short:
-        warnings.warn(f"excluded {short} record(s) with codes shorter than "
-                      f"{digit_level} digits", FlowDataWarning, stacklevel=2)
+    rows = _encode(records, year, digit_level)
+    coded = rows.group >= 0
+    _warn_short(rows.group, digit_level)
+    loops = int(np.count_nonzero(coded & rows.loop))
     if loops:
         warnings.warn(f"dropped {loops} self-loop record(s)", FlowDataWarning,
                       stacklevel=2)
-    countries = tuple(sorted({c for c, _ in cells}))
-    products = tuple(sorted({p for _, p in cells}))
-    exports = np.zeros((len(countries), len(products)))
-    c_index = {c: i for i, c in enumerate(countries)}
-    p_index = {p: i for i, p in enumerate(products)}
-    for (c, p), values in cells.items():
-        exports[c_index[c], p_index[p]] = cell_total(values)
+    take = coded & ~rows.loop
+    (exporter, group), totals = _cells([rows.exporter[take], rows.group[take]],
+                                       rows.value[take])
+    country_ids, (row,) = _positions(len(rows.countries), exporter)
+    product_ids, (column,) = _positions(len(rows.groups), group)
+    exports = np.zeros((len(country_ids), len(product_ids)))
+    exports[row, column] = totals
+    countries = tuple(rows.countries[i] for i in country_ids.tolist())
+    products = tuple(rows.groups[i] for i in product_ids.tolist())
 
     gdp_vec = None
     if gdp is not None:

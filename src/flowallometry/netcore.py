@@ -10,8 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections import defaultdict
 from collections.abc import Iterable, Mapping, Sequence
+from functools import reduce
+from itertools import accumulate, pairwise, repeat
+from operator import add, attrgetter, eq
+from typing import NamedTuple
 
 import numpy as np
 
@@ -26,15 +29,15 @@ def country_id(raw: str) -> str:
     code = str(raw).upper()
     if not code:
         raise ValueError("empty country code")
-    if any(ch.isspace() for ch in code):
+    if code.split() != [code]:
         raise ValueError(f"country code contains whitespace: {raw!r}")
     return code
 
 
 def product_code(raw: str) -> str:
-    """Validate a hierarchical product code: a string of 1 to 4 decimal digits."""
+    """Validate a hierarchical product code: a string of 1 to 4 ASCII digits."""
     code = str(raw)
-    if not (1 <= len(code) <= 4) or not code.isdigit():
+    if not (1 <= len(code) <= 4) or not (code.isascii() and code.isdigit()):
         raise ValueError(f"product code must be 1-4 decimal digits: {raw!r}")
     return code
 
@@ -44,13 +47,20 @@ def code_contains(parent: str, child: str) -> bool:
     return child.startswith(parent)
 
 
-def truncate_code(code: str, digits: int) -> str:
-    """Leading `digits` digits of a product code; the code must be long enough."""
+def _check_digit_level(digits: int) -> None:
     if digits < 1 or digits > 4:
         raise ValueError(f"digit level must be in 1..4, got {digits}")
+
+
+def truncate_code(code: str, digits: int) -> str:
+    """Leading `digits` digits of a product code; the code must be long enough."""
+    _check_digit_level(digits)
     if len(code) < digits:
         raise ValueError(f"code {code!r} shorter than digit level {digits}")
     return code[:digits]
+
+
+_NOT_FINITE = "aggregated trade value exceeds the float range"
 
 
 def cell_total(values: Sequence[float]) -> float:
@@ -60,7 +70,7 @@ def cell_total(values: Sequence[float]) -> float:
     except OverflowError:
         total = math.inf
     if not math.isfinite(total):
-        raise ValueError("aggregated trade value exceeds the float range")
+        raise ValueError(_NOT_FINITE)
     return total
 
 
@@ -77,7 +87,9 @@ class FlowNetwork:
     __slots__ = ("nodes", "flux", "product", "year", "_index")
 
     def __init__(self, nodes: Sequence[str], flux, product: str, year: int):
-        nodes = tuple(country_id(c) for c in nodes)
+        # From a list: a tuple built from a generator grows by reallocation,
+        # which fragments the heap over a batch of hundreds of networks.
+        nodes = tuple([country_id(c) for c in nodes])
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate nodes")
         matrix = np.array(flux, dtype=float)
@@ -148,6 +160,138 @@ class FlowNetwork:
                 f"n={self.n}, edges={edges})")
 
 
+class _Rows(NamedTuple):
+    """One year's trade records as columns, in record order.  Ids index
+    sorted rosters, so ordering by id orders by name."""
+
+    countries: list[str]     # sorted country roster
+    groups: list[str]        # sorted product codes truncated to the digit level
+    exporter: np.ndarray     # country id per record
+    importer: np.ndarray
+    group: np.ndarray        # product-group id per record, -1 if the code is too short
+    loop: np.ndarray         # exporter == importer
+    value: np.ndarray
+
+
+def _product_groups(codes: Sequence[str], digit_level: int) -> tuple[list[str], np.ndarray]:
+    """Sorted distinct codes truncated to ``digit_level``, and each code's
+    position among them: -1 for a code shorter than the digit level."""
+    _check_digit_level(digit_level)
+    distinct = set(codes)
+    groups = sorted({c[:digit_level] for c in distinct if len(c) >= digit_level})
+    index = {g: i for i, g in enumerate(groups)}
+    position = {c: index[c[:digit_level]] if len(c) >= digit_level else -1
+                for c in distinct}
+    return groups, np.fromiter(map(position.__getitem__, codes), np.intp, len(codes))
+
+
+def _encode(records: Iterable, year: int, digit_level: int) -> _Rows:
+    """Encode the records of ``year`` as integer columns.
+
+    Raises NegativeFlow on a negative value in any year, naming the first
+    such record.
+    """
+    records = list(records)
+    value = np.fromiter(map(attrgetter("value"), records), float, len(records))
+    negative = np.flatnonzero(value < 0)
+    if negative.size:
+        rec = records[negative[0]]
+        raise NegativeFlow(f"negative trade value {rec.value} "
+                           f"({rec.exporter}->{rec.importer}, {rec.product})")
+    in_year = np.fromiter(map(eq, map(attrgetter("year"), records), repeat(year)),
+                          bool, len(records))
+    if not in_year.all():
+        keep = np.flatnonzero(in_year)
+        records = [records[i] for i in keep.tolist()]
+        value = value[keep]
+
+    exporters = list(map(attrgetter("exporter"), records))
+    importers = list(map(attrgetter("importer"), records))
+    countries = sorted(set(exporters).union(importers))
+    index = {c: i for i, c in enumerate(countries)}
+    exporter = np.fromiter(map(index.__getitem__, exporters), np.intp, len(records))
+    importer = np.fromiter(map(index.__getitem__, importers), np.intp, len(records))
+    groups, group = _product_groups(list(map(attrgetter("product"), records)), digit_level)
+    return _Rows(countries, groups, exporter, importer, group, exporter == importer, value)
+
+
+def _cells(keys: Sequence[np.ndarray], values: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
+    """Sum ``values`` per distinct key tuple; ``keys`` are nonnegative
+    integer columns, most significant first.
+
+    Returns the distinct keys, in lexicographic order, and each cell's
+    exactly rounded total: a one-record cell keeps its value, since
+    ``fsum([x]) == x`` (adding 0.0 turns -0.0 into the 0.0 fsum gives), and
+    larger cells go through ``cell_total``.  ValueError if a total is not
+    finite.
+    """
+    # One sort of a combined key orders the rows as a lexsort of the columns.
+    dims = tuple(int(k.max()) + 1 if len(k) else 1 for k in keys)
+    flat = np.ravel_multi_index(keys, dims)
+    order = np.argsort(flat)
+    flat = flat[order]
+    values = values[order]
+    first = np.ones(len(flat), dtype=bool)
+    first[1:] = flat[1:] != flat[:-1]
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=len(flat))
+    totals = values[starts] + 0.0
+    multi = sizes > 1
+    if multi.any():
+        # A memoryview yields each value as a float only while fsum reads it.
+        members = memoryview(values[np.repeat(multi, sizes)])
+        bounds = pairwise(accumulate(sizes[multi].tolist(), initial=0))
+        totals[multi] = np.fromiter((cell_total(members[lo:hi]) for lo, hi in bounds),
+                                    float, np.count_nonzero(multi))
+    if not np.isfinite(totals).all():
+        raise ValueError(_NOT_FINITE)
+    return np.unravel_index(flat[starts], dims), totals
+
+
+def _positions(size: int, *columns: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The sorted ids, out of ``range(size)``, that occur in ``columns``, and
+    each column renumbered to positions among them."""
+    present = np.zeros(size, dtype=bool)
+    for column in columns:
+        present[column] = True
+    position = np.cumsum(present) - 1
+    return np.flatnonzero(present), [position[column] for column in columns]
+
+
+def _network(countries: Sequence[str], src: np.ndarray, dst: np.ndarray,
+             totals: np.ndarray, product: str, year: int,
+             min_flow: float) -> FlowNetwork:
+    """The network of one product's aggregated cells, nodes in lexicographic
+    order; edges below ``min_flow`` are dropped first."""
+    if min_flow > 0.0:
+        keep = totals >= min_flow
+        src, dst, totals = src[keep], dst[keep], totals[keep]
+    if not len(totals):
+        raise EmptySelection("all matching records were self-loops or filtered out")
+    ids, (i, j) = _positions(len(countries), src, dst)
+    matrix = np.zeros((len(ids), len(ids)))
+    matrix[i, j] = totals
+    return FlowNetwork([countries[k] for k in ids.tolist()], matrix, product, year)
+
+
+def _warn_short(group: np.ndarray, digit_level: int) -> None:
+    """Warn about the records whose code is shorter than the digit level
+    (group id -1), at the call site of this function's caller."""
+    count = int(np.count_nonzero(group < 0))
+    if count:
+        warnings.warn(f"excluded {count} record(s) with codes shorter than "
+                      f"{digit_level} digits", FlowDataWarning, stacklevel=3)
+
+
+def _warn_self_loops(values: np.ndarray) -> None:
+    """Warn about dropped self-loops, with their values summed in record
+    order, at the call site of this function's caller."""
+    if len(values):
+        total = reduce(add, values.tolist(), 0.0)
+        warnings.warn(f"dropped {len(values)} self-loop record(s) worth {total}",
+                      FlowDataWarning, stacklevel=3)
+
+
 def build_network(records: Iterable, product: str, year: int, digit_level: int,
                   min_flow: float = 0.0) -> FlowNetwork:
     """Aggregate trade records into the flow network of one product and year.
@@ -165,57 +309,28 @@ def build_network(records: Iterable, product: str, year: int, digit_level: int,
     Raises EmptySelection when nothing matches and NegativeFlow on any
     negative value.
     """
-    if digit_level < 1 or digit_level > 4:
-        raise ValueError(f"digit level must be in 1..4, got {digit_level}")
+    _check_digit_level(digit_level)
     if product != ALL:
         product = product_code(product)
         if len(product) != digit_level:
             raise ValueError(
                 f"product {product!r} does not have digit level {digit_level}")
 
-    cells: dict[tuple[str, str], list[float]] = defaultdict(list)
-    matched = 0
-    short_codes = 0
-    self_loops = 0
-    self_loop_value = 0.0
-    for rec in records:
-        if rec.value < 0:
-            raise NegativeFlow(f"negative trade value {rec.value} "
-                               f"({rec.exporter}->{rec.importer}, {rec.product})")
-        if rec.year != year:
-            continue
-        if product != ALL:
-            if len(rec.product) < digit_level:
-                short_codes += 1
-                continue
-            if rec.product[:digit_level] != product:
-                continue
-        matched += 1
-        if rec.exporter == rec.importer:
-            self_loops += 1
-            self_loop_value += rec.value
-            continue
-        cells[(rec.exporter, rec.importer)].append(rec.value)
-
-    if matched == 0:
+    rows = _encode(records, year, digit_level)
+    if product == ALL:
+        matched = np.ones(len(rows.value), dtype=bool)
+    elif product in rows.groups:
+        matched = rows.group == rows.groups.index(product)
+    else:
+        matched = np.zeros(len(rows.value), dtype=bool)
+    if not matched.any():
         raise EmptySelection(
             f"no record matches product={product!r} year={year} at {digit_level} digits")
-    if short_codes:
-        warnings.warn(f"excluded {short_codes} record(s) with codes shorter than "
-                      f"{digit_level} digits", FlowDataWarning, stacklevel=2)
-    if self_loops:
-        warnings.warn(f"dropped {self_loops} self-loop record(s) worth "
-                      f"{self_loop_value}", FlowDataWarning, stacklevel=2)
+    if product != ALL:
+        _warn_short(rows.group, digit_level)
+    _warn_self_loops(rows.value[matched & rows.loop])
 
-    totals = {pair: cell_total(values) for pair, values in cells.items()}
-    if min_flow > 0.0:
-        totals = {pair: v for pair, v in totals.items() if v >= min_flow}
-
-    nodes = sorted({c for pair in totals for c in pair})
-    if not nodes:
-        raise EmptySelection("all matching records were self-loops or filtered out")
-    index = {c: i for i, c in enumerate(nodes)}
-    matrix = np.zeros((len(nodes), len(nodes)))
-    for (src, dst), value in totals.items():
-        matrix[index[src], index[dst]] = value
-    return FlowNetwork(nodes, matrix, product, year)
+    take = matched & ~rows.loop
+    (src, dst), totals = _cells([rows.exporter[take], rows.importer[take]],
+                                rows.value[take])
+    return _network(rows.countries, src, dst, totals, product, year, min_flow)

@@ -7,17 +7,21 @@ product-code order.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
+from itertools import groupby, pairwise
+from operator import attrgetter
 
 import numpy as np
 
 from . import allometry, flowcalc, metrics
 from .errors import (DegenerateFit, EmptySelection, SingularNetwork,
                      TooFewPoints)
-from .ingest import TradeRecord, enumerate_products
-from .netcore import ALL, build_network
+# enumerate_products is unused here but stays importable as
+# pipeline.enumerate_products, the name perfbench/spans.py wraps.
+from .ingest import TradeRecord, enumerate_products  # noqa: F401
+from .netcore import (ALL, _cells, _encode, _network, _warn_self_loops,
+                      _warn_short, build_network)
 
 PRIMARY_PREFIXES = frozenset("01234")
 MANUFACTURED_PREFIXES = frozenset("56789")
@@ -72,6 +76,31 @@ def analyze_product(records: Iterable[TradeRecord], product: str, year: int,
     return summarize_network(net, topk=topk)
 
 
+def _year_cells(records: Iterable[TradeRecord], year: int, digit_level: int):
+    """The year's country roster, and the (exporter, importer, total) cells
+    of each product at ``digit_level`` and then of ``ALL``: the products'
+    come from one sort, sliced per product, and those of ``ALL``, which keep
+    codes shorter than the digit level, from a second.  The year's encoded
+    columns are freed on return, before any network is analyzed."""
+    rows = _encode(records, year, digit_level)
+    if not len(rows.value):
+        raise EmptySelection(f"no records for year {year}")
+    _warn_short(rows.group, digit_level)
+    _warn_self_loops(rows.value[rows.loop])
+
+    flows = ~rows.loop
+    take = flows & (rows.group >= 0)
+    (group, src, dst), totals = _cells(
+        [rows.group[take], rows.exporter[take], rows.importer[take]], rows.value[take])
+    bounds = np.searchsorted(group, np.arange(len(rows.groups) + 1)).tolist()
+    jobs = [(code, src[lo:hi], dst[lo:hi], totals[lo:hi])
+            for code, (lo, hi) in zip(rows.groups, pairwise(bounds))]
+    (src, dst), totals = _cells([rows.exporter[flows], rows.importer[flows]],
+                                rows.value[flows])
+    jobs.append((ALL, src, dst, totals))
+    return rows.countries, jobs
+
+
 def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
           min_countries: int = 10, min_flow: float = 0.0,
           topk: int = 10) -> BatchResult:
@@ -80,26 +109,19 @@ def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
 
     Products with fewer retained countries than ``min_countries`` or failing
     with a singular balance / degenerate fit land in the skip list with the
-    reason.
+    reason.  Codes shorter than the digit level and self-loops are each
+    reported once, in one counted warning for the year.
     """
     if min_countries < 3:
         raise ValueError(f"min_countries must be at least 3, got {min_countries}")
-    year_records = [r for r in records if r.year == year]
-    if not year_records:
-        raise EmptySelection(f"no records for year {year}")
-    products = enumerate_products(year_records, digit_level)
-    # Codes shorter than the digit level fall under keys never enumerated.
-    groups: dict[str, list[TradeRecord]] = defaultdict(list)
-    for rec in year_records:
-        groups[rec.product[:digit_level]].append(rec)
+    countries, jobs = _year_cells(records, year, digit_level)
 
     results = []
     integrated = None
     skipped = []
-    jobs = [(code, groups[code]) for code in products] + [(ALL, year_records)]
-    for code, group in jobs:
+    for code, src, dst, totals in jobs:
         try:
-            net = build_network(group, code, year, digit_level, min_flow=min_flow)
+            net = _network(countries, src, dst, totals, code, year, min_flow)
             if net.n < min_countries:
                 raise TooFewPoints(f"{net.n} countries < {min_countries}")
             result = summarize_network(net, topk=topk)
@@ -169,9 +191,9 @@ def timeseries(records: Iterable[TradeRecord], digit_level: int,
                min_flow: float = 0.0) -> dict[str, dict[int, float | None]]:
     """Per-product exponent by year; missing product-year combinations are
     explicit ``None`` gaps, never zeros."""
-    by_year: dict[int, list[TradeRecord]] = defaultdict(list)
-    for rec in records:
-        by_year[rec.year].append(rec)
+    year_of = attrgetter("year")
+    by_year = {yr: list(group)
+               for yr, group in groupby(sorted(records, key=year_of), key=year_of)}
     years = sorted(by_year) if years is None else list(years)
     if not years:
         raise ValueError("no years requested")

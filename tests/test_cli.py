@@ -199,22 +199,28 @@ class TestExitCodes:
         assert code == 1 and text is None
         assert "--workers" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", ["analyze", "prody"])
-    def test_overflowing_cell_is_one_without_traceback(self, tmp_path, capsys,
-                                                       command):
-        trades = tmp_path / "huge.csv"
-        trades.write_text("year,exporter,importer,product,value\n"
-                          "2000,AAA,BBB,1,1e308\n2000,AAA,BBB,1,1e308\n"
-                          "2000,BBB,CCC,1,5\n2000,CCC,AAA,1,3\n")
+    @pytest.mark.parametrize("command", ["analyze", "batch", "prody"])
+    @pytest.mark.parametrize("rows", [
+        b"2000,AAA,BBB,1," + b"9" * 200_000 + b"\n",
+        b"2000,AAA,BBB,1,\xff\xfe5\n",
+        "2000,AAA,BBB,\u00b2,5\n".encode(),
+        b"2000,AAA,BBB,1,1e308\n2000,AAA,BBB,1,1e308\n",
+    ], ids=["oversized_field", "not_utf8", "superscript_code", "overflow"])
+    def test_malformed_input_exits_without_traceback(self, tmp_path, capsys,
+                                                     command, rows):
+        trades = tmp_path / "bad.csv"
+        trades.write_bytes(b"year,exporter,importer,product,value\n" + rows
+                           + b"2000,BBB,CCC,1,5\n2000,CCC,AAA,1,3\n")
         gdp = tmp_path / "gdp.csv"
         gdp.write_text("country,value\nAAA,1000\nBBB,2000\nCCC,3000\n")
-        extra = (("--product", "1") if command == "analyze"
-                 else ("--gdp", str(gdp)))
+        extra = {"analyze": ("--product", "1"), "batch": (),
+                 "prody": ("--gdp", str(gdp))}[command]
         code, text = run(tmp_path, command, "--input", str(trades),
                          "--year", "2000", "--digits", "1", *extra)
         err = capsys.readouterr().err
         assert code == 1 and text is None
-        assert err.startswith("flowallometry: error:") and "Traceback" not in err
+        assert err.startswith("flowallometry: error:") and err.count("\n") == 1
+        assert "Traceback" not in err
 
 
 class TestSynthCommand:

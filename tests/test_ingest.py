@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowallometry import (CountryAttribute, DuplicateCountry, FlowDataWarning,
-                           ParseError, TradeRecord, enumerate_products,
+from flowallometry import (CountryAttribute, DuplicateCountry, FlowAnalysisError,
+                           FlowDataWarning, ParseError, TradeRecord, enumerate_products,
                            parse_attributes, parse_exclusions,
                            parse_product_column, parse_trades, write_trades)
 
@@ -30,6 +30,23 @@ class TestParseTrades:
         with pytest.raises(ParseError) as err:
             parse_trades(HEADER + "2000,USA,JPN,7100,-5\n")
         assert err.value.row == 1 and err.value.column == "value"
+
+    @pytest.mark.parametrize("code", ["\u00b2", "\u0661", "\u0660\u0661"])
+    def test_non_ascii_digit_code_aborts(self, code):
+        with pytest.raises(ParseError) as err:
+            parse_trades(HEADER + f"2000,USA,JPN,{code},5\n")
+        assert err.value.row == 1 and err.value.column == "product"
+
+    def test_oversized_field_is_parse_error(self):
+        text = HEADER + "2000,USA,JPN,7100,5\n2000,USA,JPN,7100," + "9" * 200_000 + "\n"
+        with pytest.raises(ParseError) as err:
+            parse_trades(text)
+        assert err.value.row == 2 and "field larger than field limit" in str(err.value)
+
+    def test_invalid_utf8_is_parse_error(self):
+        with pytest.raises(ParseError) as err:
+            parse_trades(b"\xff\xfe")
+        assert err.value.row == 0 and "UTF-8" in str(err.value)
 
     def test_bad_year_aborts(self):
         with pytest.raises(ParseError) as err:
@@ -133,3 +150,21 @@ class TestEnumerateProducts:
         records = [TradeRecord(2000, "A", "B", c, 1.0) for c in codes]
         out = enumerate_products(records, 1)
         assert out == sorted(set(out))
+
+
+HEADERS = [b"", b"year,exporter,importer,product,value\n", b"country,value\n",
+           b"product,value\n"]
+CSV_ISH = st.text(st.sampled_from(list(',"#\n\r\t 0123456789.-eE_AUSJ\u00b2\u0661\x00\x1c')))
+
+
+@pytest.mark.parametrize("parse", [parse_trades, parse_attributes,
+                                   parse_product_column, parse_exclusions])
+@given(data=st.one_of(
+    st.binary(),
+    st.tuples(st.sampled_from(HEADERS), st.binary()).map(b"".join),
+    st.tuples(st.sampled_from(HEADERS), CSV_ISH.map(str.encode)).map(b"".join)))
+def test_any_bytes_parse_or_raise_typed_error(parse, data):
+    try:
+        parse(data)
+    except FlowAnalysisError:
+        pass

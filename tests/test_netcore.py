@@ -22,10 +22,30 @@ class TestIdentifiers:
     def test_product_code_ok(self, code):
         assert product_code(code) == code
 
-    @pytest.mark.parametrize("bad", ["", "71005", "71A0", "7.1", "-1"])
+    @pytest.mark.parametrize("bad", ["", "71005", "71A0", "7.1", "-1",
+                                     "\u00b2", "\u0661", "\u0660\u0661"])
     def test_product_code_rejects(self, bad):
         with pytest.raises(ValueError):
             product_code(bad)
+
+    @given(st.text(st.one_of(st.characters(), st.sampled_from(
+        " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"))))
+    def test_country_id_matches_per_character_whitespace_rule(self, raw):
+        def reference(raw):
+            code = str(raw).upper()
+            if not code:
+                raise ValueError("empty country code")
+            if any(ch.isspace() for ch in code):
+                raise ValueError(f"country code contains whitespace: {raw!r}")
+            return code
+
+        def outcome(fn):
+            try:
+                return fn(raw)
+            except ValueError as exc:
+                return str(exc)
+
+        assert outcome(country_id) == outcome(reference)
 
     def test_prefix_hierarchy(self):
         assert code_contains("71", "7100")

@@ -1,12 +1,19 @@
+import math
 import random
+import warnings
+from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from flowallometry import (ALL, EmptySelection, TooFewPoints, TradeRecord,
-                           analyze_product, batch, complexity_table,
-                           correlate_complexity, histogram, prody_all,
-                           random_flow, timeseries)
+from flowallometry import (ALL, DegenerateFit, EmptySelection, FlowDataWarning,
+                           FlowNetwork, SingularNetwork, TooFewPoints,
+                           TradeRecord, analyze_product, batch, build_network,
+                           complexity_table, correlate_complexity, histogram,
+                           prody_all, random_flow, summarize_network,
+                           timeseries)
 from flowallometry.pipeline import ProductResult
 from flowallometry.synth import to_records
 
@@ -83,6 +90,18 @@ class TestBatch:
         assert table.exports.tobytes() == other.exports.tobytes()
         assert prody_all(table) == prody_all(other)
 
+    def test_one_self_loop_warning_per_batch(self):
+        records = mixed_corpus()
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            batch(records, 2000, 2, min_countries=3)
+        with warnings.catch_warnings(record=True) as expected:
+            warnings.simplefilter("always")
+            build_network([r for r in records if r.year == 2000], ALL, 2000, 2)
+        loops = [str(w.message) for w in caught if "self-loop" in str(w.message)]
+        assert loops == [str(w.message) for w in expected] == [
+            "dropped 1 self-loop record(s) worth 3.0"]
+
     def test_empty_year(self):
         with pytest.raises(EmptySelection):
             batch(corpus(), 1980, 1)
@@ -90,6 +109,115 @@ class TestBatch:
     def test_min_countries_floor(self):
         with pytest.raises(ValueError):
             batch(corpus(), 2000, 1, min_countries=2)
+
+
+def reference_cells(records, year, digit_level, key, product=None):
+    """Dict of lists plus math.fsum: the aggregation rule, record by record."""
+    cells = defaultdict(list)
+    for rec in records:
+        if rec.year != year or rec.exporter == rec.importer:
+            continue
+        if product != ALL and len(rec.product) < digit_level:
+            continue
+        if product in (None, ALL) or rec.product[:digit_level] == product:
+            cells[key(rec)].append(rec.value)
+    return {cell: math.fsum(values) for cell, values in cells.items()}
+
+
+def reference_network(records, product, year, digit_level, min_flow):
+    totals = reference_cells(records, year, digit_level,
+                             lambda r: (r.exporter, r.importer), product)
+    if min_flow > 0.0:
+        totals = {pair: v for pair, v in totals.items() if v >= min_flow}
+    return FlowNetwork.from_edges(totals, product, year)
+
+
+def outcome(build, *args):
+    """A network's nodes and flux bytes, or the type of the error raised."""
+    try:
+        net = build(*args)
+    except EmptySelection:
+        return EmptySelection
+    return net.nodes, net.flux.tobytes()
+
+
+def reference_row(records, product, year, digit_level, min_flow):
+    try:
+        net = reference_network(records, product, year, digit_level, min_flow)
+        if net.n < 3:
+            return TooFewPoints
+        return summarize_network(net)
+    except (EmptySelection, SingularNetwork, DegenerateFit) as exc:
+        return type(exc)
+
+
+RECORD = st.builds(
+    TradeRecord, st.sampled_from([1999, 2000]),
+    st.sampled_from(["AAA", "BBB", "CCC", "DDD"]),
+    st.sampled_from(["AAA", "BBB", "CCC", "DDD"]),
+    st.sampled_from(["1", "11", "1100", "1109", "12", "1200", "2", "21", "2101"]),
+    st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 0.1, 0.7, 1.0, 1e16, 1e300]),
+              st.floats(0.0, 1e12, allow_nan=False)))
+# Left-to-right addition rounds 1e16 + 1.0 + 1.0 to 1e16; fsum does not.
+ROUNDING_CELL = [TradeRecord(2000, "AAA", "BBB", "1100", v) for v in (1e16, 1.0, 1.0)] + [
+    TradeRecord(2000, "BBB", "CCC", "1109", 2.0), TradeRecord(2000, "CCC", "AAA", "1200", 3.0)]
+
+
+class TestAggregationOracle:
+    @settings(max_examples=60, deadline=None)
+    @example(ROUNDING_CELL, 2, 0.0)
+    @example(ROUNDING_CELL, 1, 0.0)
+    @given(st.lists(RECORD, min_size=1, max_size=60), st.sampled_from([1, 2]),
+           st.sampled_from([0.0, 1.0, 1e6]))
+    def test_equals_dict_fsum_reference(self, records, digit_level, min_flow):
+        year = 2000
+        codes = sorted({r.product[:digit_level] for r in records
+                        if r.year == year and len(r.product) >= digit_level})
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FlowDataWarning)
+            for product in codes + [ALL]:
+                assert (outcome(build_network, records, product, year, digit_level,
+                                min_flow)
+                        == outcome(reference_network, records, product, year,
+                                   digit_level, min_flow))
+            if not codes and all(r.year != year for r in records):
+                with pytest.raises(EmptySelection):
+                    batch(records, year, digit_level, min_countries=3)
+                return
+            result = batch(records, year, digit_level, min_countries=3,
+                           min_flow=min_flow)
+            table = complexity_table(records, year, digit_level)
+
+        rows = {r.product: r for r in result.results}
+        if result.integrated is not None:
+            rows[ALL] = result.integrated
+        rows.update((s.product, s.reason.split(":")[0]) for s in result.skipped)
+        expected = {}
+        for product in codes + [ALL]:
+            row = reference_row(records, product, year, digit_level, min_flow)
+            expected[product] = row if isinstance(row, ProductResult) else row.__name__
+        assert rows == expected
+
+        exports = reference_cells(records, year, digit_level,
+                                  lambda r: (r.exporter, r.product[:digit_level]))
+        assert table.countries == tuple(sorted({c for c, _ in exports}))
+        assert table.products == tuple(sorted({p for _, p in exports}))
+        reference = np.zeros(table.exports.shape)
+        for (c, p), total in exports.items():
+            reference[table.country_index(c), table.product_index(p)] = total
+        assert table.exports.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("values", [[math.nan], [1e308, 1e308]], ids=["nan", "overflow"])
+    @pytest.mark.parametrize("aggregate", [
+        lambda records: batch(records, 2000, 2, min_countries=3),
+        lambda records: complexity_table(records, 2000, 2),
+    ], ids=["batch", "complexity_table"])
+    def test_non_finite_cell_raises(self, values, aggregate):
+        records = [TradeRecord(2000, "AAA", "BBB", "1100", v) for v in values]
+        records += [TradeRecord(2000, "BBB", "CCC", "1100", 5.0),
+                    TradeRecord(2000, "CCC", "AAA", "1200", 3.0)]
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            aggregate(records)
 
 
 class TestHistogram:
