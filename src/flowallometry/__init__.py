@@ -16,16 +16,17 @@ from .errors import (AllZero, BadSpec, DegenerateFit, DuplicateCountry,
 from .flowcalc import (FlowAnalysis, analyze, coefficients, fundamental,
                        impact_by_extraction, impacts_closed_form, sources,
                        throughflow, throughflow_residual)
-from .ingest import (CountryAttribute, TradeRecord, enumerate_products,
-                     parse_attributes, parse_exclusions, parse_product_column,
-                     parse_trades, write_trades)
+from .ingest import (CountryAttribute, TradeRecord, parse_attributes,
+                     parse_exclusions, parse_product_column, parse_trades,
+                     write_trades)
 from .metrics import (ComplexityTable, InequalityReport, complexity_table,
                       dominance_share, gini, inequality_report, pearson,
                       prody, prody_all, rca, rca_column)
-from .netcore import ALL, FlowNetwork, build_network, country_id, product_code
+from .netcore import (ALL, FlowNetwork, build_network, country_id,
+                      enumerate_products, product_code)
 from .pipeline import (BatchResult, Histogram, ProductResult, SkippedProduct,
-                       analyze_product, batch, correlate_complexity,
-                       histogram, summarize_network, timeseries)
+                       batch, correlate_complexity, histogram,
+                       summarize_network, timeseries)
 from .synth import SynthSpec, chain, generate, random_flow, random_tree, star
 
 __version__ = "0.1.0"
@@ -38,7 +39,7 @@ __all__ = [
     "NoExports", "NoMarket", "NotATree", "ParseError", "ProductResult",
     "SingularNetwork", "SkippedProduct", "SynthSpec", "TooFewPoints",
     "TradeRecord", "ZeroVariance",
-    "analyze", "analyze_product", "batch", "build_network", "chain",
+    "analyze", "batch", "build_network", "chain",
     "classify", "coefficients", "complexity_table", "correlate_complexity",
     "country_id", "dominance_share", "enumerate_products", "extract", "fit",
     "fundamental", "generate", "gini", "histogram", "impact_by_extraction",

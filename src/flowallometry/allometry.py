@@ -73,24 +73,21 @@ def classify(eta: float, stderr: float) -> str:
     return HIERARCHICAL if eta > 1.0 else FLAT
 
 
-def tree_allometry(tree) -> tuple[np.ndarray, np.ndarray]:
+def tree_allometry(tree: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Subtree node counts and their subtree sums for a rooted directed tree.
 
-    ``tree`` is either a FlowNetwork whose nonzero edges point from parent to
-    child, or a parent-index sequence (``parents[i]`` is the parent of node
-    ``i``, ``None`` for the root; a lone ``[None]`` is the single-node tree).
-    For each node, the first vector holds the number of nodes in the subtree
-    rooted there (itself included) and the second the sum of those counts
-    over the subtree; both come from a single post-order pass.  Edge weights
-    are ignored.  Raises NotATree when the edges have a cycle, multiple
-    roots, or a node with several parents.
+    ``tree`` is a FlowNetwork whose nonzero edges point from parent to
+    child.  For each node, the first vector holds the number of nodes in the
+    subtree rooted there (itself included) and the second the sum of those
+    counts over the subtree; both come from a single post-order pass.  Edge
+    weights are ignored.  Raises NotATree when the edges have a cycle,
+    multiple roots, or a node with several parents.
     """
-    children, roots, n = _tree_structure(tree)
-    if n == 0:
-        raise ValueError("empty tree")
+    children, roots = _tree_structure(tree)
     if len(roots) != 1:
         raise NotATree(f"expected exactly one root, found {len(roots)}")
 
+    n = tree.n
     counts = np.ones(n)
     sums = np.ones(n)
     visited = 0
@@ -112,29 +109,14 @@ def tree_allometry(tree) -> tuple[np.ndarray, np.ndarray]:
     return counts, sums
 
 
-def _tree_structure(tree):
-    """Children lists and root candidates from either accepted tree form."""
-    if isinstance(tree, FlowNetwork):
-        n = tree.n
-        children: list[list[int]] = [[] for _ in range(n)]
-        indegree = [0] * n
-        srcs, dsts = np.nonzero(tree.flux)
-        for src, dst in zip(srcs.tolist(), dsts.tolist()):
-            children[src].append(dst)
-            indegree[dst] += 1
-        if any(d > 1 for d in indegree):
-            raise NotATree("a node has more than one parent")
-        roots = [i for i in range(n) if indegree[i] == 0]
-        return children, roots, n
-    parents = list(tree)
-    n = len(parents)
-    children = [[] for _ in range(n)]
-    roots = []
-    for node, parent in enumerate(parents):
-        if parent is None:
-            roots.append(node)
-        elif 0 <= int(parent) < n:
-            children[int(parent)].append(node)
-        else:
-            raise ValueError(f"parent index {parent} out of range")
-    return children, roots, n
+def _tree_structure(tree: FlowNetwork) -> tuple[list[list[int]], list[int]]:
+    """Children lists and root candidates of a network's edges."""
+    children: list[list[int]] = [[] for _ in range(tree.n)]
+    indegree = [0] * tree.n
+    srcs, dsts = np.nonzero(tree.flux)
+    for src, dst in zip(srcs.tolist(), dsts.tolist()):
+        children[src].append(dst)
+        indegree[dst] += 1
+    if any(d > 1 for d in indegree):
+        raise NotATree("a node has more than one parent")
+    return children, [i for i in range(tree.n) if indegree[i] == 0]

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DuplicateCountry, ParseError
-from .netcore import _product_groups, _warn_short, country_id, product_code
+from .netcore import country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
 ATTRIBUTES_HEADER = ("country", "value")
@@ -46,12 +46,12 @@ class CountryAttribute:
 
 
 def _text(source) -> str:
-    """The text of a source: bytes, a path (a str with no newline), a str of
-    text, or a file-like object yielding str or bytes.  ParseError if the
-    bytes are not UTF-8."""
+    """The text of a source: a ``Path`` names a file to read; a str or bytes
+    is the content itself; anything else is a file-like object yielding str
+    or bytes.  ParseError if the bytes are not UTF-8."""
     try:
-        if isinstance(source, (str, Path)) and "\n" not in str(source):
-            return Path(source).read_text(encoding="utf-8")
+        if isinstance(source, Path):
+            return source.read_text(encoding="utf-8")
         if not isinstance(source, (str, bytes)):
             source = source.read()
         return source.decode("utf-8") if isinstance(source, bytes) else source
@@ -200,14 +200,3 @@ def parse_exclusions(source) -> set[str]:
         except ValueError as exc:
             raise ParseError(row, "product", str(exc)) from None
     return codes
-
-
-def enumerate_products(records: Iterable[TradeRecord], digit_level: int) -> list[str]:
-    """Distinct product codes truncated to ``digit_level``, sorted ascending.
-
-    Codes shorter than the digit level are excluded with a counted warning
-    rather than padded into invented categories.
-    """
-    groups, group = _product_groups([rec.product for rec in records], digit_level)
-    _warn_short(group, digit_level)
-    return groups

@@ -10,15 +10,13 @@ combination of the exporter GDPs.
 from __future__ import annotations
 
 import math
-import warnings
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (AllZero, FlowDataWarning, NoExports, NoMarket,
-                     TooFewPoints, ZeroVariance)
-from .netcore import _cells, _encode, _positions, _warn_short
+from .errors import AllZero, NoExports, NoMarket, TooFewPoints, ZeroVariance
+from .netcore import _cells, _encode, _positions, _warn_self_loops, _warn_short
 
 
 @dataclass(frozen=True)
@@ -203,10 +201,7 @@ def complexity_table(records: Iterable, year: int, digit_level: int,
     rows = _encode(records, year, digit_level)
     coded = rows.group >= 0
     _warn_short(rows.group, digit_level)
-    loops = int(np.count_nonzero(coded & rows.loop))
-    if loops:
-        warnings.warn(f"dropped {loops} self-loop record(s)", FlowDataWarning,
-                      stacklevel=2)
+    _warn_self_loops(rows.value[coded & rows.loop])
     take = coded & ~rows.loop
     (exporter, group), totals = _cells([rows.exporter[take], rows.group[take]],
                                        rows.value[take])

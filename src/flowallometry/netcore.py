@@ -42,22 +42,9 @@ def product_code(raw: str) -> str:
     return code
 
 
-def code_contains(parent: str, child: str) -> bool:
-    """True if category `parent` contains `child` (prefix relation, reflexive)."""
-    return child.startswith(parent)
-
-
 def _check_digit_level(digits: int) -> None:
     if digits < 1 or digits > 4:
         raise ValueError(f"digit level must be in 1..4, got {digits}")
-
-
-def truncate_code(code: str, digits: int) -> str:
-    """Leading `digits` digits of a product code; the code must be long enough."""
-    _check_digit_level(digits)
-    if len(code) < digits:
-        raise ValueError(f"code {code!r} shorter than digit level {digits}")
-    return code[:digits]
 
 
 _NOT_FINITE = "aggregated trade value exceeds the float range"
@@ -119,24 +106,26 @@ class FlowNetwork:
         self._index = {c: i for i, c in enumerate(nodes)}
 
     @classmethod
-    def from_edges(cls, edges, product: str = ALL, year: int = 2000,
-                   nodes: Sequence[str] | None = None) -> "FlowNetwork":
+    def from_edges(cls, edges, product: str = ALL, year: int = 2000) -> "FlowNetwork":
         """Build a network from ``{(src, dst): weight}`` or ``(src, dst, weight)`` triples.
 
-        Node order defaults to the sorted set of endpoints.
+        Nodes are the sorted endpoints.  Weights of a repeated pair are
+        summed as ``build_network`` sums a cell: exactly rounded and
+        independent of order; ValueError if a total is not finite.
         """
         if isinstance(edges, Mapping):
-            triples = [(s, d, w) for (s, d), w in edges.items()]
-        else:
-            triples = list(edges)
-        if nodes is None:
-            nodes = sorted({country_id(s) for s, _, _ in triples}
-                           | {country_id(d) for _, d, _ in triples})
-        index = {country_id(c): i for i, c in enumerate(nodes)}
-        matrix = np.zeros((len(nodes), len(nodes)))
-        for src, dst, weight in triples:
-            matrix[index[country_id(src)], index[country_id(dst)]] += weight
-        return cls(nodes, matrix, product, year)
+            edges = [(s, d, w) for (s, d), w in edges.items()]
+        srcs, dsts, weights = [], [], []
+        for src, dst, weight in edges:
+            srcs.append(country_id(src))
+            dsts.append(country_id(dst))
+            weights.append(weight)
+        nodes = sorted(set(srcs).union(dsts))
+        index = {c: i for i, c in enumerate(nodes)}
+        (src, dst), totals = _cells(
+            [np.fromiter(map(index.__getitem__, ends), np.intp, len(ends))
+             for ends in (srcs, dsts)], np.array(weights, dtype=float))
+        return _network(nodes, src, dst, totals, product, year, 0.0)
 
     @property
     def n(self) -> int:
@@ -183,6 +172,17 @@ def _product_groups(codes: Sequence[str], digit_level: int) -> tuple[list[str], 
     position = {c: index[c[:digit_level]] if len(c) >= digit_level else -1
                 for c in distinct}
     return groups, np.fromiter(map(position.__getitem__, codes), np.intp, len(codes))
+
+
+def enumerate_products(records: Iterable, digit_level: int) -> list[str]:
+    """Distinct product codes truncated to ``digit_level``, sorted ascending.
+
+    Codes shorter than the digit level are excluded with a counted warning
+    rather than padded into invented categories.
+    """
+    groups, group = _product_groups([rec.product for rec in records], digit_level)
+    _warn_short(group, digit_level)
+    return groups
 
 
 def _encode(records: Iterable, year: int, digit_level: int) -> _Rows:
@@ -274,22 +274,24 @@ def _network(countries: Sequence[str], src: np.ndarray, dst: np.ndarray,
     return FlowNetwork([countries[k] for k in ids.tolist()], matrix, product, year)
 
 
-def _warn_short(group: np.ndarray, digit_level: int) -> None:
+def _warn_short(group: np.ndarray, digit_level: int, stacklevel: int = 3) -> None:
     """Warn about the records whose code is shorter than the digit level
-    (group id -1), at the call site of this function's caller."""
+    (group id -1).  ``stacklevel`` counts frames from here, as in
+    ``warnings.warn``: the default 3 points at the call site of this
+    function's caller; add one per private frame in between."""
     count = int(np.count_nonzero(group < 0))
     if count:
         warnings.warn(f"excluded {count} record(s) with codes shorter than "
-                      f"{digit_level} digits", FlowDataWarning, stacklevel=3)
+                      f"{digit_level} digits", FlowDataWarning, stacklevel=stacklevel)
 
 
-def _warn_self_loops(values: np.ndarray) -> None:
+def _warn_self_loops(values: np.ndarray, stacklevel: int = 3) -> None:
     """Warn about dropped self-loops, with their values summed in record
-    order, at the call site of this function's caller."""
+    order; ``stacklevel`` as in ``_warn_short``."""
     if len(values):
         total = reduce(add, values.tolist(), 0.0)
         warnings.warn(f"dropped {len(values)} self-loop record(s) worth {total}",
-                      FlowDataWarning, stacklevel=3)
+                      FlowDataWarning, stacklevel=stacklevel)
 
 
 def build_network(records: Iterable, product: str, year: int, digit_level: int,

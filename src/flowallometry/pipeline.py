@@ -17,14 +17,14 @@ import numpy as np
 from . import allometry, flowcalc, metrics
 from .errors import (DegenerateFit, EmptySelection, SingularNetwork,
                      TooFewPoints)
-# enumerate_products is unused here but stays importable as
-# pipeline.enumerate_products, the name perfbench/spans.py wraps.
-from .ingest import TradeRecord, enumerate_products  # noqa: F401
+from .ingest import TradeRecord
 from .netcore import (ALL, _cells, _encode, _network, _warn_self_loops,
-                      _warn_short, build_network)
+                      _warn_short)
+# Unused here, but importable as pipeline.build_network and
+# pipeline.enumerate_products: the names perfbench/spans.py wraps.
+from .netcore import build_network, enumerate_products  # noqa: F401
 
 PRIMARY_PREFIXES = frozenset("01234")
-MANUFACTURED_PREFIXES = frozenset("56789")
 
 
 @dataclass(frozen=True)
@@ -68,14 +68,6 @@ def summarize_network(net, topk: int = 10) -> ProductResult:
                          net.n, report.topk)
 
 
-def analyze_product(records: Iterable[TradeRecord], product: str, year: int,
-                    digit_level: int, min_flow: float = 0.0,
-                    topk: int = 10) -> ProductResult:
-    """Build, analyze, fit, and summarize one product network."""
-    net = build_network(records, product, year, digit_level, min_flow=min_flow)
-    return summarize_network(net, topk=topk)
-
-
 def _year_cells(records: Iterable[TradeRecord], year: int, digit_level: int):
     """The year's country roster, and the (exporter, importer, total) cells
     of each product at ``digit_level`` and then of ``ALL``: the products'
@@ -85,8 +77,8 @@ def _year_cells(records: Iterable[TradeRecord], year: int, digit_level: int):
     rows = _encode(records, year, digit_level)
     if not len(rows.value):
         raise EmptySelection(f"no records for year {year}")
-    _warn_short(rows.group, digit_level)
-    _warn_self_loops(rows.value[rows.loop])
+    _warn_short(rows.group, digit_level, stacklevel=4)
+    _warn_self_loops(rows.value[rows.loop], stacklevel=4)
 
     flows = ~rows.loop
     take = flows & (rows.group >= 0)

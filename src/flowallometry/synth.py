@@ -139,14 +139,6 @@ def _random_flow(spec: SynthSpec) -> np.ndarray:
     return flux
 
 
-def parents_of(net: FlowNetwork) -> list[int | None]:
-    """Parent-index view of a tree-shaped network (for tree allometry)."""
-    parents: list[int | None] = [None] * net.n
-    for src, dst in zip(*np.nonzero(net.flux)):
-        parents[int(dst)] = int(src)
-    return parents
-
-
 def to_records(net: FlowNetwork, product: str = "1",
                year: int | None = None) -> list[TradeRecord]:
     """Flatten a network into canonical trade records, one per edge, in

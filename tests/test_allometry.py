@@ -117,19 +117,6 @@ class TestTreeAllometry:
         assert slopes[1] >= 1.8
         assert 1.8 <= slopes[2] <= 2.0
 
-    def test_single_node_from_parent_array(self):
-        counts, sums = tree_allometry([None])
-        assert counts.tolist() == [1.0] and sums.tolist() == [1.0]
-
-    def test_parent_array_matches_network_form(self):
-        net = random_tree(30, seed=8)
-        from flowallometry.synth import parents_of
-
-        by_net = tree_allometry(net)
-        by_parents = tree_allometry(parents_of(net))
-        assert np.array_equal(by_net[0], by_parents[0])
-        assert np.array_equal(by_net[1], by_parents[1])
-
     def test_cycle_rejected(self):
         net = FlowNetwork.from_edges(
             {("AAA", "BBB"): 1.0, ("BBB", "CCC"): 1.0, ("CCC", "AAA"): 1.0})

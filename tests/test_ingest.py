@@ -121,8 +121,12 @@ class TestProductColumnAndExclusions:
         path = tmp_path / "exclude.txt"
         path.write_text("93\n# note\n68\n")
         for source in (b"93\n# note\n68\n", io.BytesIO(b"93\n68\n"),
-                       io.StringIO("93\n68\n"), path, str(path)):
+                       io.StringIO("93\n68\n"), path):
             assert parse_exclusions(source) == {"93", "68"}
+
+    def test_str_is_content_not_a_path(self):
+        assert parse_exclusions("93") == {"93"}
+        assert parse_trades(HEADER.rstrip("\n")) == []
 
 
 class TestEnumerateProducts:

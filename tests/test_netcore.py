@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -6,7 +8,6 @@ from hypothesis import strategies as st
 from flowallometry import (ALL, EmptySelection, FlowDataWarning, FlowNetwork,
                            NegativeFlow, TradeRecord, build_network,
                            country_id, product_code)
-from flowallometry.netcore import code_contains, truncate_code
 
 
 class TestIdentifiers:
@@ -47,14 +48,6 @@ class TestIdentifiers:
 
         assert outcome(country_id) == outcome(reference)
 
-    def test_prefix_hierarchy(self):
-        assert code_contains("71", "7100")
-        assert code_contains("71", "71")
-        assert not code_contains("71", "72")
-        assert truncate_code("7100", 2) == "71"
-        with pytest.raises(ValueError):
-            truncate_code("7", 2)
-
 
 class TestFlowNetwork:
     def test_strips_isolated_nodes(self):
@@ -78,6 +71,21 @@ class TestFlowNetwork:
     def test_flux_is_read_only(self, three_node_net):
         with pytest.raises(ValueError):
             three_node_net.flux[0, 1] = 9.0
+
+    def test_from_edges_sums_repeated_pairs_in_any_order(self):
+        # Left-to-right addition gives 1e16 one way and 1e16 + 2 the other.
+        forward = FlowNetwork.from_edges(
+            [("AAA", "BBB", 1e16), ("AAA", "BBB", 1.0), ("AAA", "BBB", 1.0)])
+        backward = FlowNetwork.from_edges(
+            [("AAA", "BBB", 1.0), ("AAA", "BBB", 1.0), ("AAA", "BBB", 1e16)])
+        assert forward.flux.tobytes() == backward.flux.tobytes()
+        assert forward.flux[0, 1] == 1e16 + 2.0
+
+    def test_from_edges_overflowing_pair_raises(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="exceeds the float range"):
+                FlowNetwork.from_edges([("AAA", "BBB", 1e308), ("AAA", "BBB", 1e308)])
 
 
 class TestBuildNetwork:

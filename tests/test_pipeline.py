@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from collections import defaultdict
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,8 +11,8 @@ from hypothesis import strategies as st
 
 from flowallometry import (ALL, DegenerateFit, EmptySelection, FlowDataWarning,
                            FlowNetwork, SingularNetwork, TooFewPoints,
-                           TradeRecord, analyze_product, batch, build_network,
-                           complexity_table, correlate_complexity, histogram,
+                           TradeRecord, batch, build_network, complexity_table,
+                           correlate_complexity, enumerate_products, histogram,
                            prody_all, random_flow, summarize_network,
                            timeseries)
 from flowallometry.pipeline import ProductResult
@@ -75,7 +76,8 @@ class TestBatch:
         outcome = batch(records, 2000, 2, min_countries=3)
         assert [r.product for r in outcome.results] == ["11", "12", "27"]
         for row in outcome.results + [outcome.integrated]:
-            assert row == analyze_product(year_records, row.product, 2000, 2)
+            net = build_network(year_records, row.product, 2000, 2)
+            assert row == summarize_network(net)
 
     @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
     def test_record_order_is_bitwise_irrelevant(self):
@@ -92,15 +94,28 @@ class TestBatch:
 
     def test_one_self_loop_warning_per_batch(self):
         records = mixed_corpus()
+        for call in (lambda: batch(records, 2000, 2, min_countries=3),
+                     lambda: build_network([r for r in records if r.year == 2000],
+                                           ALL, 2000, 2),
+                     lambda: complexity_table(records, 2000, 2)):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                call()
+            loops = [str(w.message) for w in caught if "self-loop" in str(w.message)]
+            assert loops == ["dropped 1 self-loop record(s) worth 3.0"]
+
+    @pytest.mark.parametrize("call", [
+        lambda records: batch(records, 2000, 2, min_countries=3),
+        lambda records: build_network(records, "11", 2000, 2),
+        lambda records: complexity_table(records, 2000, 2),
+        lambda records: enumerate_products(records, 2),
+    ], ids=["batch", "build_network", "complexity_table", "enumerate_products"])
+    def test_warnings_point_at_the_caller(self, call):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            batch(records, 2000, 2, min_countries=3)
-        with warnings.catch_warnings(record=True) as expected:
-            warnings.simplefilter("always")
-            build_network([r for r in records if r.year == 2000], ALL, 2000, 2)
-        loops = [str(w.message) for w in caught if "self-loop" in str(w.message)]
-        assert loops == [str(w.message) for w in expected] == [
-            "dropped 1 self-loop record(s) worth 3.0"]
+            call(mixed_corpus())
+        flagged = [w for w in caught if issubclass(w.category, FlowDataWarning)]
+        assert flagged and all(w.filename == __file__ for w in flagged)
 
     def test_empty_year(self):
         with pytest.raises(EmptySelection):
@@ -147,7 +162,7 @@ def reference_row(records, product, year, digit_level, min_flow):
         if net.n < 3:
             return TooFewPoints
         return summarize_network(net)
-    except (EmptySelection, SingularNetwork, DegenerateFit) as exc:
+    except (EmptySelection, SingularNetwork, DegenerateFit, TooFewPoints) as exc:
         return type(exc)
 
 
@@ -161,12 +176,17 @@ RECORD = st.builds(
 # Left-to-right addition rounds 1e16 + 1.0 + 1.0 to 1e16; fsum does not.
 ROUNDING_CELL = [TradeRecord(2000, "AAA", "BBB", "1100", v) for v in (1e16, 1.0, 1.0)] + [
     TradeRecord(2000, "BBB", "CCC", "1109", 2.0), TradeRecord(2000, "CCC", "AAA", "1200", 3.0)]
+# Three countries, but the impact of AAA underflows to 0, so the fit has two
+# positive pairs and batch skips the product with TooFewPoints.
+UNDERFLOW_IMPACT = [TradeRecord(2000, "BBB", "AAA", "1", 1e-300),
+                    TradeRecord(2000, "BBB", "CCC", "1", 1e300)]
 
 
 class TestAggregationOracle:
     @settings(max_examples=60, deadline=None)
     @example(ROUNDING_CELL, 2, 0.0)
     @example(ROUNDING_CELL, 1, 0.0)
+    @example(UNDERFLOW_IMPACT, 1, 0.0)
     @given(st.lists(RECORD, min_size=1, max_size=60), st.sampled_from([1, 2]),
            st.sampled_from([0.0, 1.0, 1e6]))
     def test_equals_dict_fsum_reference(self, records, digit_level, min_flow):
@@ -218,6 +238,42 @@ class TestAggregationOracle:
                     TradeRecord(2000, "CCC", "AAA", "1200", 3.0)]
         with pytest.raises(ValueError, match="exceeds the float range"):
             aggregate(records)
+
+
+SUMMARY_FIELDS = ("eta", "stderr", "r2", "gini", "dominance")
+
+
+def assert_same_rows(outcome, expected):
+    """Every row of two batch outcomes, products and ALL, agrees within
+    1e-12 relative, with the same class, size and skips."""
+    rows = outcome.results + [outcome.integrated]
+    reference = expected.results + [expected.integrated]
+    assert ([(r.product, r.classification, r.n_countries) for r in rows]
+            == [(r.product, r.classification, r.n_countries) for r in reference])
+    for row, ref in zip(rows, reference):
+        assert ([getattr(row, f) for f in SUMMARY_FIELDS]
+                == pytest.approx([getattr(ref, f) for f in SUMMARY_FIELDS], rel=1e-12))
+    assert outcome.skipped == expected.skipped
+
+
+@pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
+@pytest.mark.parametrize("digit_level", [1, 2])
+class TestBatchMetamorphic:
+    def test_countries_relabelled_in_reversed_order(self, digit_level):
+        records = mixed_corpus()
+        countries = sorted({r.exporter for r in records} | {r.importer for r in records})
+        label = {c: f"R{len(countries) - k:03d}" for k, c in enumerate(countries)}
+        relabelled = [replace(r, exporter=label[r.exporter], importer=label[r.importer])
+                      for r in records]
+        assert_same_rows(batch(relabelled, 2000, digit_level, min_countries=3),
+                         batch(records, 2000, digit_level, min_countries=3))
+
+    @pytest.mark.parametrize("factor", [1000.0, 2.0 ** 10])
+    def test_values_scaled(self, digit_level, factor):
+        records = mixed_corpus()
+        scaled = [replace(r, value=r.value * factor) for r in records]
+        assert_same_rows(batch(scaled, 2000, digit_level, min_countries=3),
+                         batch(records, 2000, digit_level, min_countries=3))
 
 
 class TestHistogram:
