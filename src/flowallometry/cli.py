@@ -21,7 +21,7 @@ import math
 import sys
 from pathlib import Path
 
-from . import __version__, allometry, flowcalc, metrics, pipeline
+from . import __version__, flowcalc, metrics, pipeline
 from .backbone import extract
 from .errors import FlowAnalysisError, SingularNetwork
 from .ingest import (parse_attributes, parse_exclusions, parse_product_column,
@@ -52,11 +52,17 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _meta(command: str, params: dict) -> dict:
+def _meta(args, params: dict) -> dict:
+    """The metadata block of one run: ``params``, then ``--min-flow`` and
+    ``--format`` where the subcommand takes them."""
+    params = dict(params)
+    for name in ("min_flow", "format"):
+        if name in args:
+            params[name] = getattr(args, name)
     return {
         "tool": "flowallometry",
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "parameters": params,
         "conventions": CONVENTIONS,
     }
@@ -74,11 +80,15 @@ def _footer(meta: dict, prefix: str) -> list[str]:
     return lines
 
 
-def _render_csv(header: list[str], rows: list[list], meta: dict,
-                extra_comments: list[str] = ()) -> str:
+def _emit(args, params: dict, doc: dict, header: list[str], rows, comments=()) -> str:
+    """Render one run as ``doc`` plus its metadata (JSON), or as ``header``
+    and ``rows``, then ``comments``, then the ``#`` footer (CSV)."""
+    meta = _meta(args, params)
+    if args.format == "json":
+        return _render_json({**doc, "meta": meta})
     lines = [",".join(header)]
     lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    lines.extend(extra_comments)
+    lines.extend(comments)
     lines.extend(_footer(meta, "#"))
     return "\n".join(lines) + "\n"
 
@@ -132,14 +142,11 @@ def _result_json(result: pipeline.ProductResult) -> dict:
 # ---------------------------------------------------------------------------
 
 def cmd_analyze(args) -> str:
-    records = _read_trades(args.input)
-    net = build_network(records, args.product, args.year, args.digits,
-                        min_flow=args.min_flow)
+    net = build_network(_read_trades(args.input), args.product, args.year,
+                        args.digits, min_flow=args.min_flow)
     analysis = flowcalc.analyze(net)
-    fit = allometry.fit(analysis.throughflow, analysis.impact)
-    report = metrics.inequality_report(net.nodes, analysis.impact)
-
-    nodes = [{
+    doc = _result_json(pipeline._summary(net, analysis))
+    doc["nodes"] = [{
         "country": code,
         "throughflow": float(analysis.throughflow[i]),
         "source": float(analysis.source[i]),
@@ -147,60 +154,31 @@ def cmd_analyze(args) -> str:
         "log10_throughflow": math.log10(analysis.throughflow[i]),
         "log10_impact": math.log10(analysis.impact[i]),
     } for i, code in enumerate(net.nodes)]
-
-    meta = _meta("analyze", {"product": args.product, "year": args.year,
-                             "digits": args.digits, "min_flow": args.min_flow,
-                             "format": args.format})
-    if args.format == "json":
-        return _render_json({
-            "product": net.product, "year": net.year, "n": net.n,
-            "eta": fit.eta, "stderr": fit.stderr, "r2": fit.r2,
-            "classification": fit.classification,
-            "gini": report.gini, "dominance": report.dominance,
-            "topk": [{"country": c, "impact": v} for c, v in report.topk],
-            "nodes": nodes,
-            "meta": meta,
-        })
-    header = ["product", "year", "n", "eta", "stderr", "r2", "classification",
-              "gini", "dominance", "country", "throughflow", "source",
-              "impact", "log10_throughflow", "log10_impact"]
-    rows = [[net.product, net.year, net.n, fit.eta, fit.stderr, fit.r2,
-             fit.classification, report.gini, report.dominance,
-             node["country"], node["throughflow"], node["source"],
-             node["impact"], node["log10_throughflow"], node["log10_impact"]]
-            for node in nodes]
-    return _render_csv(header, rows, meta)
-
-
-def _batch_presentation(outcome: pipeline.BatchResult) -> list[pipeline.ProductResult]:
-    ordered = sorted(outcome.results, key=lambda r: (-r.eta, r.product))
-    if outcome.integrated is not None:
-        ordered.append(outcome.integrated)
-    return ordered
+    # CSV: one row per node, the scalar summary repeated on each
+    summary = [k for k in doc if k not in ("topk", "nodes")]
+    rows = [[*(doc[k] for k in summary), *node.values()] for node in doc["nodes"]]
+    return _emit(args, {"product": args.product, "year": args.year,
+                        "digits": args.digits},
+                 doc, [*summary, *doc["nodes"][0]], rows)
 
 
 def cmd_batch(args) -> str:
-    records = _read_trades(args.input)
-    outcome = pipeline.batch(records, args.year, args.digits,
+    outcome = pipeline.batch(_read_trades(args.input), args.year, args.digits,
                              min_countries=args.min_countries,
                              min_flow=args.min_flow)
-    ordered = _batch_presentation(outcome)
-    meta = _meta("batch", {"year": args.year, "digits": args.digits,
-                           "min_countries": args.min_countries,
-                           "min_flow": args.min_flow, "format": args.format})
-    if args.format == "json":
-        return _render_json({
-            "year": args.year, "digits": args.digits,
-            "results": [_result_json(r) for r in ordered],
-            "skipped": [{"product": s.product, "reason": s.reason}
-                        for s in outcome.skipped],
-            "meta": meta,
-        })
-    header = ["code", "eta", "stderr", "r2", "gini", "dominance", "n"]
+    ordered = sorted(outcome.results, key=lambda r: (-r.eta, r.product))
+    if outcome.integrated is not None:
+        ordered.append(outcome.integrated)
+    doc = {"year": args.year, "digits": args.digits,
+           "results": [_result_json(r) for r in ordered],
+           "skipped": [{"product": s.product, "reason": s.reason}
+                       for s in outcome.skipped]}
     rows = [[r.product, r.eta, r.stderr, r.r2, r.gini, r.dominance,
              r.n_countries] for r in ordered]
-    comments = [f"# skipped {s.product}: {s.reason}" for s in outcome.skipped]
-    return _render_csv(header, rows, meta, comments)
+    return _emit(args, {"year": args.year, "digits": args.digits,
+                        "min_countries": args.min_countries},
+                 doc, ["code", "eta", "stderr", "r2", "gini", "dominance", "n"],
+                 rows, [f"# skipped {s.product}: {s.reason}" for s in outcome.skipped])
 
 
 def cmd_timeseries(args) -> str:
@@ -210,39 +188,27 @@ def cmd_timeseries(args) -> str:
                                  min_countries=args.min_countries,
                                  min_flow=args.min_flow)
     all_years = years if years is not None else sorted({r.year for r in records})
-    meta = _meta("timeseries", {"digits": args.digits,
-                                "years": ",".join(map(str, all_years)),
-                                "min_countries": args.min_countries,
-                                "format": args.format})
-    if args.format == "json":
-        return _render_json({
-            "digits": args.digits, "years": all_years,
-            "series": [{"product": code,
-                        "points": [{"year": yr, "eta": by_year[yr]}
-                                   for yr in all_years]}
-                       for code, by_year in series.items()],
-            "meta": meta,
-        })
+    doc = {"digits": args.digits, "years": all_years,
+           "series": [{"product": code,
+                       "points": [{"year": yr, "eta": by_year[yr]}
+                                  for yr in all_years]}
+                      for code, by_year in series.items()]}
     rows = [[code, yr, by_year[yr]]
             for code, by_year in series.items() for yr in all_years]
-    return _render_csv(["product", "year", "eta"], rows, meta)
+    return _emit(args, {"digits": args.digits,
+                        "years": ",".join(map(str, all_years)),
+                        "min_countries": args.min_countries},
+                 doc, ["product", "year", "eta"], rows)
 
 
 def cmd_prody(args) -> str:
-    records = _read_trades(args.input)
-    table = metrics.complexity_table(records, args.year, args.digits,
-                                     gdp=_read_gdp(args.gdp))
+    table = metrics.complexity_table(_read_trades(args.input), args.year,
+                                     args.digits, gdp=_read_gdp(args.gdp))
     values = metrics.prody_all(table)
-    meta = _meta("prody", {"year": args.year, "digits": args.digits,
-                           "format": args.format})
-    if args.format == "json":
-        return _render_json({
-            "year": args.year, "digits": args.digits,
-            "products": [{"product": p, "prody": v} for p, v in values.items()],
-            "meta": meta,
-        })
-    rows = [[p, v] for p, v in values.items()]
-    return _render_csv(["product", "prody"], rows, meta)
+    doc = {"year": args.year, "digits": args.digits,
+           "products": [{"product": p, "prody": v} for p, v in values.items()]}
+    return _emit(args, {"year": args.year, "digits": args.digits},
+                 doc, ["product", "prody"], values.items())
 
 
 def cmd_correlate(args) -> str:
@@ -263,21 +229,14 @@ def cmd_correlate(args) -> str:
     exclusions = parse_exclusions(Path(args.exclude)) if args.exclude else set()
     r, pairs = pipeline.correlate_complexity(outcome.results, column,
                                              exclusions=exclusions)
-    meta = _meta("correlate", {"year": args.year, "digits": args.digits,
-                               "min_countries": args.min_countries,
-                               "column": column_name,
-                               "excluded": ",".join(sorted(exclusions)),
-                               "format": args.format})
-    if args.format == "json":
-        return _render_json({
-            "r": r, "n_pairs": len(pairs),
-            "excluded": sorted(exclusions),
-            "pairs": [{"product": p, "eta": e, "value": v} for p, e, v in pairs],
-            "meta": meta,
-        })
-    rows = [[p, e, v] for p, e, v in pairs]
-    comments = [f"# pearson_r: {r!r}", f"# n_pairs: {len(pairs)}"]
-    return _render_csv(["product", "eta", "value"], rows, meta, comments)
+    doc = {"r": r, "n_pairs": len(pairs), "excluded": sorted(exclusions),
+           "pairs": [{"product": p, "eta": e, "value": v} for p, e, v in pairs]}
+    return _emit(args, {"year": args.year, "digits": args.digits,
+                        "min_countries": args.min_countries,
+                        "column": column_name,
+                        "excluded": ",".join(sorted(exclusions))},
+                 doc, ["product", "eta", "value"], pairs,
+                 [f"# pearson_r: {r!r}", f"# n_pairs: {len(pairs)}"])
 
 
 def cmd_backbone(args) -> str:
@@ -285,9 +244,8 @@ def cmd_backbone(args) -> str:
     net = build_network(records, args.product, args.year, args.digits,
                         min_flow=args.min_flow)
     bone = extract(net, args.alpha)
-    meta = _meta("backbone", {"product": args.product, "year": args.year,
-                              "digits": args.digits, "alpha": args.alpha,
-                              "format": args.format})
+    meta = _meta(args, {"product": args.product, "year": args.year,
+                        "digits": args.digits, "alpha": args.alpha})
     nodes = [{"id": code, "role": bone.roles[code], "size": bone.sizes[code]}
              for code in net.nodes]
     links = [{"source": s, "target": t,
@@ -326,11 +284,10 @@ def cmd_synth(args) -> str:
                      args.back_density, args.seed)
     net = generate(spec, year=args.year)
     text = write_trades(to_records(net, product=args.product, year=args.year))
-    meta = _meta("synth", {"kind": args.kind, "n": args.n,
-                           "weight": args.weight, "density": args.density,
-                           "back_density": args.back_density,
-                           "seed": args.seed, "product": args.product,
-                           "year": args.year})
+    meta = _meta(args, {"kind": args.kind, "n": args.n,
+                        "weight": args.weight, "density": args.density,
+                        "back_density": args.back_density, "seed": args.seed,
+                        "product": args.product, "year": args.year})
     return text + "\n".join(_footer(meta, "#")) + "\n"
 
 
@@ -338,7 +295,8 @@ def cmd_synth(args) -> str:
 # argument parsing
 # ---------------------------------------------------------------------------
 
-def _add_common(sub, *, product=False, year=True, formats=("json", "csv")):
+def _add_common(sub, *, product=False, year=True, min_flow=True,
+                formats=("json", "csv")):
     sub.add_argument("--input", action="append", required=True,
                      help="canonical trades CSV (repeatable)")
     if year:
@@ -348,8 +306,9 @@ def _add_common(sub, *, product=False, year=True, formats=("json", "csv")):
                          help="product code at the digit level, or ALL")
     sub.add_argument("--digits", type=int, default=1,
                      help="product-code digit level, 1..4 (default 1)")
-    sub.add_argument("--min-flow", type=float, default=0.0,
-                     help="drop aggregated edges below this value (default off)")
+    if min_flow:
+        sub.add_argument("--min-flow", type=float, default=0.0,
+                         help="drop aggregated edges below this value (default off)")
     sub.add_argument("--format", choices=formats, default=formats[0])
     sub.add_argument("--out", help="output path (default stdout)")
 
@@ -378,7 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_timeseries)
 
     p = sub.add_parser("prody", help="GDP-weighted product sophistication")
-    _add_common(p)
+    _add_common(p, min_flow=False)
     p.add_argument("--gdp", required=True,
                    help="per-country GDP per capita CSV (country,value)")
     p.set_defaults(func=cmd_prody)

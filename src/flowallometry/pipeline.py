@@ -58,11 +58,15 @@ class BatchResult:
     skipped: list[SkippedProduct]
 
 
-def summarize_network(net, topk: int = 10) -> ProductResult:
+def summarize_network(net) -> ProductResult:
     """Analyze, fit, and summarize one already-built network."""
-    analysis = flowcalc.analyze(net)
+    return _summary(net, flowcalc.analyze(net))
+
+
+def _summary(net, analysis: flowcalc.FlowAnalysis) -> ProductResult:
+    """Fit and summarize ``net`` from its flow ``analysis``."""
     fit = allometry.fit(analysis.throughflow, analysis.impact)
-    report = metrics.inequality_report(net.nodes, analysis.impact, k=topk)
+    report = metrics.inequality_report(net.nodes, analysis.impact)
     return ProductResult(net.product, net.year, fit.eta, fit.stderr, fit.r2,
                          fit.classification, report.gini, report.dominance,
                          net.n, report.topk)
@@ -94,8 +98,7 @@ def _year_cells(records: Iterable[TradeRecord], year: int, digit_level: int):
 
 
 def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
-          min_countries: int = 10, min_flow: float = 0.0,
-          topk: int = 10) -> BatchResult:
+          min_countries: int = 10, min_flow: float = 0.0) -> BatchResult:
     """Analyze every product at ``digit_level`` for one year, plus the
     integrated all-products network.
 
@@ -116,7 +119,7 @@ def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
             net = _network(countries, src, dst, totals, code, year, min_flow)
             if net.n < min_countries:
                 raise TooFewPoints(f"{net.n} countries < {min_countries}")
-            result = summarize_network(net, topk=topk)
+            result = summarize_network(net)
         except (TooFewPoints, DegenerateFit, SingularNetwork, EmptySelection) as exc:
             skipped.append(SkippedProduct(code, f"{type(exc).__name__}: {exc}"))
             continue

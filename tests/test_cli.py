@@ -1,14 +1,20 @@
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
 
-from flowallometry.cli import main
+from flowallometry.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
+README = Path(__file__).parents[1] / "README.md"
 FIXTURE = str(DATA / "fixture_3node.csv")
 CORPUS = str(DATA / "corpus_two_products.csv")
+# four products in 2000, two of them again in 2001, over seven countries
+CORPUS4 = str(DATA / "corpus_four_products.csv")
+GDP7 = str(DATA / "gdp_seven_countries.csv")
 
 
 def run(tmp_path, *argv):
@@ -44,6 +50,24 @@ class TestGoldenFiles:
         (("backbone", "--input", FIXTURE, "--year", "2000", "--product", "71",
           "--digits", "2", "--format", "dot"), "backbone_fixture.dot"),
         (("synth", "star", "--n", "5"), "synth_star.csv"),
+        (("prody", "--input", CORPUS4, "--year", "2000", "--gdp", GDP7,
+          "--format", "json"), "prody_corpus.json"),
+        (("prody", "--input", CORPUS4, "--year", "2000", "--gdp", GDP7,
+          "--format", "csv"), "prody_corpus.csv"),
+        (("timeseries", "--input", CORPUS4, "--min-countries", "3",
+          "--format", "json"), "timeseries_corpus.json"),
+        (("timeseries", "--input", CORPUS4, "--min-countries", "3",
+          "--format", "csv"), "timeseries_corpus.csv"),
+        (("correlate", "--input", CORPUS4, "--year", "2000",
+          "--min-countries", "3",
+          "--complexity-column", str(DATA / "complexity_column.csv"),
+          "--exclude", str(DATA / "exclude.txt"), "--format", "csv"),
+         "correlate_column.csv"),
+        (("correlate", "--input", CORPUS4, "--year", "2000",
+          "--min-countries", "3", "--gdp", GDP7, "--format", "json"),
+         "correlate_gdp.json"),
+        (("backbone", "--input", FIXTURE, "--year", "2000", "--product", "71",
+          "--digits", "2", "--format", "json"), "backbone_fixture.json"),
     ])
     def test_footer_outputs(self, tmp_path, argv, golden):
         code, text = run(tmp_path, *argv)
@@ -97,6 +121,23 @@ class TestAnalyzeContent:
                 assert list(json.loads(text))[-1] == "meta"
             else:
                 assert text.splitlines()[-1].startswith("# convention")
+
+
+class TestMetadata:
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--year", "2000", "--product", "1"),
+        ("batch", "--year", "2000", "--min-countries", "3"),
+        ("timeseries", "--min-countries", "3"),
+        ("correlate", "--year", "2000", "--min-countries", "3", "--gdp", GDP7),
+        ("backbone", "--year", "2000", "--product", "1", "--format", "json"),
+    ], ids=lambda argv: argv[0])
+    def test_metadata_records_min_flow(self, tmp_path, argv):
+        code, text = run(tmp_path, argv[0], "--input", CORPUS4, *argv[1:],
+                         "--min-flow", "2.5")
+        assert code == 0
+        parameters = json.loads(text)["meta"]["parameters"]
+        assert parameters["min_flow"] == 2.5
+        assert list(parameters)[-2:] == ["min_flow", "format"]
 
 
 class TestInputHandling:
@@ -198,6 +239,12 @@ class TestExitCodes:
                          "--workers", "4")
         assert code == 1 and text is None
         assert "--workers" in capsys.readouterr().err
+
+    def test_prody_min_flow_flag_is_one(self, tmp_path, capsys):
+        code, text = run(tmp_path, "prody", "--input", CORPUS4, "--year", "2000",
+                         "--gdp", GDP7, "--min-flow", "1")
+        assert code == 1 and text is None
+        assert "unrecognized arguments: --min-flow" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["analyze", "batch", "prody"])
     @pytest.mark.parametrize("rows", [
@@ -343,3 +390,22 @@ class TestOtherCommands:
         assert code == 0
         doc = json.loads(text)
         assert doc["n_pairs"] == 4 and doc["excluded"] == ["2"]
+
+
+class TestReadme:
+    def test_cli_examples_parse(self):
+        """Every ``flowallometry`` line in the README's ``sh`` blocks is a
+        valid command line for the current parser."""
+        blocks = re.findall(r"```sh\n(.*?)```", README.read_text(encoding="utf-8"),
+                            flags=re.DOTALL)
+        commands = [line for block in blocks
+                    for line in block.replace("\\\n", " ").splitlines()
+                    if line.startswith("flowallometry ")]
+        assert len(commands) >= 7
+        parser = build_parser()
+        for command in commands:
+            argv = shlex.split(command)[1:]
+            try:
+                parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"README example does not parse: {command}")
