@@ -1,6 +1,6 @@
 """Run the batch pipeline over a synthetic multi-product corpus.
 
-Builds trade records for a handful of product codes with different network
+Builds a trade table for a handful of product codes with different network
 shapes, then produces the per-product exponent table (plus the integrated
 all-products network), the exponent histogram, and a two-year time series.
 """
@@ -8,23 +8,25 @@ all-products network), the exponent histogram, and a two-year time series.
 import numpy as np
 
 import flowallometry as fa
-from flowallometry.synth import to_records
+from flowallometry.synth import to_table
 
 rng = np.random.default_rng(7)
-records = []
+tables = []
 for year in (1999, 2000):
     for code, density, n in (("05", 0.25, 25), ("11", 0.45, 22),
                              ("27", 0.35, 30), ("65", 0.55, 28),
                              ("71", 0.65, 26), ("84", 0.40, 24)):
         net = fa.random_flow(n, density=density, weight=(1.0, 5e4),
                              back_density=0.1, seed=int(rng.integers(0, 2**31)))
-        records += to_records(net, product=code, year=year)
+        tables.append(to_table(net, product=code, year=year))
 # one deliberately tiny product to show the skip list
-records += to_records(fa.star(3, 10.0), product="99", year=2000)
-print(f"corpus: {len(records)} records, "
-      f"{len(fa.enumerate_products(records, 2))} two-digit products")
+tables.append(to_table(fa.star(3, 10.0), product="99", year=2000))
+# one table over the union of the parts' country and product rosters
+trades = fa.TradeTable.concat(tables)
+print(f"corpus: {len(trades)} rows, {len(trades.countries)} countries, "
+      f"{len(fa.enumerate_products(trades, 2))} two-digit products")
 
-outcome = fa.batch(records, 2000, 2, min_countries=10)
+outcome = fa.batch(trades, 2000, 2, min_countries=10)
 print("\nper-product table (eta descending):")
 print("  code   eta     stderr  R^2    GINI   dominance  n")
 for row in sorted(outcome.results, key=lambda r: -r.eta):
@@ -49,7 +51,7 @@ for k, count in enumerate(hist.counts):
           f"primary={prim}  manufactured={manu}")
 
 # Exponents over time; a product missing in some year would show None.
-series = fa.timeseries(records, 2, min_countries=10)
+series = fa.timeseries(trades, 2, min_countries=10)
 print("\nexponent by year:")
 for code, points in series.items():
     cells = "  ".join(f"{yr}: " + (f"{eta:.3f}" if eta is not None else "gap")

@@ -22,11 +22,14 @@ import flowallometry as fa
 
 
 def run(trades_path, gdp_path=None):
-    records = fa.parse_trades(Path(trades_path))
-    year = max(r.year for r in records)
-    print(f"{len(records)} records; analyzing year {year}")
+    # One table, columns of ids into sorted country and product rosters,
+    # feeds every analysis below; each picks its year from it.
+    trades = fa.parse_trades(Path(trades_path))
+    year = int(trades.year.max())
+    print(f"{len(trades)} rows over {len(trades.countries)} countries; "
+          f"analyzing year {year}")
 
-    outcome = fa.batch(records, year, 1, min_countries=10)
+    outcome = fa.batch(trades, year, 1, min_countries=10)
     print("\ncode   eta      +-       R^2     GINI   dominance  n")
     for row in sorted(outcome.results, key=lambda r: -r.eta):
         print(f"{row.product:<5} {row.eta:.3f}  {row.stderr:.3f}  "
@@ -41,7 +44,7 @@ def run(trades_path, gdp_path=None):
 
     worst = 0.0
     for row in outcome.results:
-        net = fa.build_network(records, row.product, year, 1)
+        net = fa.build_network(trades, row.product, year, 1)
         result = fa.analyze(net)
         worst = max(worst, fa.throughflow_residual(
             result.throughflow, result.source, result.coefficients))
@@ -50,9 +53,9 @@ def run(trades_path, gdp_path=None):
     if gdp_path:
         gdp = {a.country: a.value
                for a in fa.parse_attributes(Path(gdp_path), kind="gdp")}
-        table = fa.complexity_table(records, year, 2, gdp=gdp)
+        table = fa.complexity_table(trades, year, 2, gdp=gdp)
         column = fa.prody_all(table)
-        two_digit = fa.batch(records, year, 2, min_countries=10)
+        two_digit = fa.batch(trades, year, 2, min_countries=10)
         r, pairs = fa.correlate_complexity(two_digit.results, column)
         print(f"2-digit exponent vs sophistication: r={r:.3f} "
               f"over {len(pairs)} products")

@@ -1,6 +1,6 @@
 """Hierarchicality analysis of weighted directed flow networks.
 
-Build a flux network per product and year from bilateral trade records,
+Build a flux network per product and year from a table of bilateral trade,
 derive throughflow, sources, and extraction impacts, fit the allometric
 scaling exponent of impact against throughflow, and summarize inequality
 (GINI, dominance) and product complexity (comparative advantage, GDP-
@@ -16,13 +16,12 @@ from .errors import (AllZero, BadSpec, DegenerateFit, DuplicateCountry,
 from .flowcalc import (FlowAnalysis, analyze, coefficients, fundamental,
                        impact_by_extraction, impacts_closed_form, sources,
                        throughflow, throughflow_residual)
-from .ingest import (CountryAttribute, TradeRecord, parse_attributes,
-                     parse_exclusions, parse_product_column, parse_trades,
-                     write_trades)
+from .ingest import (CountryAttribute, parse_attributes, parse_exclusions,
+                     parse_product_column, parse_trades, write_trades)
 from .metrics import (ComplexityTable, InequalityReport, complexity_table,
                       dominance_share, gini, inequality_report, pearson,
                       prody, prody_all, rca, rca_column)
-from .netcore import (ALL, FlowNetwork, build_network, country_id,
+from .netcore import (ALL, FlowNetwork, TradeTable, build_network, country_id,
                       enumerate_products, product_code)
 from .pipeline import (BatchResult, Histogram, ProductResult, SkippedProduct,
                        batch, correlate_complexity, histogram,
@@ -38,7 +37,7 @@ __all__ = [
     "FlowNetwork", "Histogram", "InequalityReport", "NegativeFlow",
     "NoExports", "NoMarket", "NotATree", "ParseError", "ProductResult",
     "SingularNetwork", "SkippedProduct", "SynthSpec", "TooFewPoints",
-    "TradeRecord", "ZeroVariance",
+    "TradeTable", "ZeroVariance",
     "analyze", "batch", "build_network", "chain",
     "classify", "coefficients", "complexity_table", "correlate_complexity",
     "country_id", "dominance_share", "enumerate_products", "extract", "fit",

@@ -26,8 +26,8 @@ from .backbone import extract
 from .errors import FlowAnalysisError, SingularNetwork
 from .ingest import (parse_attributes, parse_exclusions, parse_product_column,
                      parse_trades, write_trades)
-from .netcore import ALL, build_network
-from .synth import SynthSpec, generate, to_records
+from .netcore import ALL, TradeTable, build_network
+from .synth import SynthSpec, generate, to_table
 
 CONVENTIONS = {
     "log_base": "10",
@@ -97,11 +97,8 @@ def _emit(args, params: dict, doc: dict, header: list[str], rows, comments=()) -
 # input marshalling
 # ---------------------------------------------------------------------------
 
-def _read_trades(paths: list[str]):
-    records = []
-    for path in paths:
-        records.extend(parse_trades(Path(path)))
-    return records
+def _read_trades(paths: list[str]) -> TradeTable:
+    return TradeTable.concat([parse_trades(Path(path)) for path in paths])
 
 
 def _read_gdp(path: str) -> dict[str, float]:
@@ -182,12 +179,11 @@ def cmd_batch(args) -> str:
 
 
 def cmd_timeseries(args) -> str:
-    records = _read_trades(args.input)
-    years = _parse_years(args.years)
-    series = pipeline.timeseries(records, args.digits, years=years,
+    trades = _read_trades(args.input)
+    all_years = _parse_years(args.years) or sorted(set(trades.year.tolist()))
+    series = pipeline.timeseries(trades, args.digits, years=all_years,
                                  min_countries=args.min_countries,
                                  min_flow=args.min_flow)
-    all_years = years if years is not None else sorted({r.year for r in records})
     doc = {"digits": args.digits, "years": all_years,
            "series": [{"product": code,
                        "points": [{"year": yr, "eta": by_year[yr]}
@@ -214,15 +210,15 @@ def cmd_prody(args) -> str:
 def cmd_correlate(args) -> str:
     if (args.complexity_column is None) == (args.gdp is None):
         raise ValueError("give exactly one of --complexity-column or --gdp")
-    records = _read_trades(args.input)
-    outcome = pipeline.batch(records, args.year, args.digits,
+    trades = _read_trades(args.input)
+    outcome = pipeline.batch(trades, args.year, args.digits,
                              min_countries=args.min_countries,
                              min_flow=args.min_flow)
     if args.complexity_column is not None:
         column = parse_product_column(Path(args.complexity_column))
         column_name = "file"
     else:
-        table = metrics.complexity_table(records, args.year, args.digits,
+        table = metrics.complexity_table(trades, args.year, args.digits,
                                          gdp=_read_gdp(args.gdp))
         column = metrics.prody_all(table)
         column_name = "prody"
@@ -240,9 +236,8 @@ def cmd_correlate(args) -> str:
 
 
 def cmd_backbone(args) -> str:
-    records = _read_trades(args.input)
-    net = build_network(records, args.product, args.year, args.digits,
-                        min_flow=args.min_flow)
+    net = build_network(_read_trades(args.input), args.product, args.year,
+                        args.digits, min_flow=args.min_flow)
     bone = extract(net, args.alpha)
     meta = _meta(args, {"product": args.product, "year": args.year,
                         "digits": args.digits, "alpha": args.alpha})
@@ -283,7 +278,7 @@ def cmd_synth(args) -> str:
     spec = SynthSpec(args.kind, args.n, weight, args.density,
                      args.back_density, args.seed)
     net = generate(spec, year=args.year)
-    text = write_trades(to_records(net, product=args.product, year=args.year))
+    text = write_trades(to_table(net, product=args.product, year=args.year))
     meta = _meta(args, {"kind": args.kind, "n": args.n,
                         "weight": args.weight, "density": args.density,
                         "back_density": args.back_density, "seed": args.seed,

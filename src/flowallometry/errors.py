@@ -28,7 +28,7 @@ class NegativeFlow(FlowAnalysisError):
 
 
 class EmptySelection(FlowAnalysisError):
-    """A (year, product) filter matched no records; signals a bad filter."""
+    """A (year, product) filter matched no rows; signals a bad filter."""
 
 
 class SingularNetwork(FlowAnalysisError):

@@ -1,4 +1,4 @@
-"""Parsing of trade-record files and auxiliary per-country / per-product tables.
+"""Parsing of trade files and auxiliary per-country / per-product tables.
 
 One canonical CSV schema per table kind, UTF-8, ``.`` decimal separator, no
 thousands separators.  Blank lines and lines starting with ``#`` are ignored,
@@ -14,27 +14,15 @@ from __future__ import annotations
 import csv
 import io
 import math
-from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DuplicateCountry, ParseError
-from .netcore import country_id, product_code
+from .netcore import TradeTable, country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
 ATTRIBUTES_HEADER = ("country", "value")
 COLUMN_HEADER = ("product", "value")
-
-
-@dataclass(frozen=True)
-class TradeRecord:
-    """One bilateral flow observation."""
-
-    year: int
-    exporter: str
-    importer: str
-    product: str
-    value: float
 
 
 @dataclass(frozen=True)
@@ -105,46 +93,43 @@ def _nonnegative_value(row, raw):
     return value
 
 
-def parse_trades(source) -> list[TradeRecord]:
-    """Parse the canonical trades CSV into records, aborting on the first bad field."""
-    records = []
+def _checked(cache: dict, check, raw: str, row: int, column: str) -> str:
+    """``check(raw)``, kept in ``cache``; ParseError at ``row``, ``column`` if it fails."""
+    try:
+        cache[raw] = code = check(raw)
+    except ValueError as exc:
+        raise ParseError(row, column, str(exc)) from None
+    return code
+
+
+def parse_trades(source) -> TradeTable:
+    """Parse the canonical trades CSV into a table, aborting on the first
+    bad field.  Each distinct code is checked once, at its first row."""
+    rows = []
+    countries, products = {}, {}     # field -> its checked code
     for row, (year_s, exporter, importer, product, value_s) in _rows(source, TRADES_HEADER):
         try:
             year = int(year_s)
         except ValueError:
             raise ParseError(row, "year", f"not an integer: {year_s!r}") from None
-        try:
-            exporter = country_id(exporter)
-        except ValueError as exc:
-            raise ParseError(row, "exporter", str(exc)) from None
-        try:
-            importer = country_id(importer)
-        except ValueError as exc:
-            raise ParseError(row, "importer", str(exc)) from None
-        try:
-            product = product_code(product)
-        except ValueError as exc:
-            raise ParseError(row, "product", str(exc)) from None
-        value = _nonnegative_value(row, value_s)
-        records.append(TradeRecord(year, exporter, importer, product, value))
-    return records
+        rows.append((
+            year,
+            countries.get(exporter) or _checked(countries, country_id, exporter, row, "exporter"),
+            countries.get(importer) or _checked(countries, country_id, importer, row, "importer"),
+            products.get(product) or _checked(products, product_code, product, row, "product"),
+            _nonnegative_value(row, value_s)))
+    return TradeTable.from_rows(rows)
 
 
-def write_trades(records: Iterable[TradeRecord], target=None) -> str:
-    """Serialize records back to the canonical trades CSV; returns the text.
-
-    ``target`` may be a path or file-like; parsing the output reproduces the
-    records field-for-field.
-    """
+def write_trades(table: TradeTable) -> str:
+    """Serialize a table to the canonical trades CSV text; parsing the text
+    reproduces the table column for column."""
+    countries, products = table.countries, table.products
+    columns = (getattr(table, name).tolist() for name in TRADES_HEADER)
     lines = [",".join(TRADES_HEADER)]
-    lines.extend(f"{r.year},{r.exporter},{r.importer},{r.product},{r.value!r}"
-                 for r in records)
-    text = "\n".join(lines) + "\n"
-    if isinstance(target, (str, Path)):
-        Path(target).write_text(text, encoding="utf-8", newline="\n")
-    elif target is not None:
-        target.write(text)
-    return text
+    lines.extend(f"{year},{countries[e]},{countries[i]},{products[p]},{value!r}"
+                 for year, e, i, p, value in zip(*columns))
+    return "\n".join(lines) + "\n"
 
 
 def parse_attributes(source, kind: str | None = None) -> list[CountryAttribute]:

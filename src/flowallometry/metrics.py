@@ -10,13 +10,14 @@ combination of the exporter GDPs.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import AllZero, NoExports, NoMarket, TooFewPoints, ZeroVariance
-from .netcore import _cells, _encode, _positions, _warn_self_loops, _warn_short
+from .netcore import (TradeTable, _cells, _positions, _warn_self_loops, _warn_short,
+                      _year_rows)
 
 
 @dataclass(frozen=True)
@@ -188,29 +189,28 @@ def pearson(x, y) -> float:
     return float(a_dev @ b_dev) / denom
 
 
-def complexity_table(records: Iterable, year: int, digit_level: int,
+def complexity_table(table: TradeTable, year: int, digit_level: int,
                      gdp: Mapping[str, float] | None = None) -> ComplexityTable:
-    """Country x product export matrix from trade records at one digit level.
+    """Country x product export matrix of one year's trade at a digit level.
 
     Rows are exporters only (importers with no exports carry no advantage).
-    Self-loop records are dropped with a counted warning, codes shorter than
+    Self-loop rows are dropped with a counted warning, codes shorter than
     the digit level likewise.  Each cell is an exactly rounded sum, so the
-    table is independent of record order.  When ``gdp`` is given it must
+    matrix is independent of row order.  When ``gdp`` is given it must
     cover every exporting country.
     """
-    rows = _encode(records, year, digit_level)
-    coded = rows.group >= 0
-    _warn_short(rows.group, digit_level)
-    _warn_self_loops(rows.value[coded & rows.loop])
-    take = coded & ~rows.loop
-    (exporter, group), totals = _cells([rows.exporter[take], rows.group[take]],
-                                       rows.value[take])
-    country_ids, (row,) = _positions(len(rows.countries), exporter)
-    product_ids, (column,) = _positions(len(rows.groups), group)
+    groups, group, exporter, importer, loop, value = _year_rows(table, year, digit_level)
+    coded = group >= 0
+    _warn_short(group, digit_level)
+    _warn_self_loops(value[coded & loop])
+    take = coded & ~loop
+    (exporter, group), totals = _cells([exporter[take], group[take]], value[take])
+    country_ids, (row,) = _positions(len(table.countries), exporter)
+    product_ids, (column,) = _positions(len(groups), group)
     exports = np.zeros((len(country_ids), len(product_ids)))
     exports[row, column] = totals
-    countries = tuple(rows.countries[i] for i in country_ids.tolist())
-    products = tuple(rows.groups[i] for i in product_ids.tolist())
+    countries = tuple(table.countries[i] for i in country_ids.tolist())
+    products = tuple(groups[i] for i in product_ids.tolist())
 
     gdp_vec = None
     if gdp is not None:

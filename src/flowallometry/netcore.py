@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 import warnings
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
+from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import accumulate, pairwise, repeat
-from operator import add, attrgetter, eq
-from typing import NamedTuple
+from itertools import accumulate, pairwise
+from operator import add
 
 import numpy as np
 
@@ -25,12 +25,16 @@ ALL = "ALL"
 
 
 def country_id(raw: str) -> str:
-    """Normalize a country identifier: uppercased, non-empty, no whitespace."""
+    """Normalize a country identifier: uppercased, non-empty, with no
+    whitespace and no ``,`` or ``"``, which unquoted CSV and DOT output
+    cannot hold."""
     code = str(raw).upper()
     if not code:
         raise ValueError("empty country code")
     if code.split() != [code]:
         raise ValueError(f"country code contains whitespace: {raw!r}")
+    if "," in code or '"' in code:
+        raise ValueError(f"country code contains a comma or a double quote: {raw!r}")
     return code
 
 
@@ -40,6 +44,18 @@ def product_code(raw: str) -> str:
     if not (1 <= len(code) <= 4) or not (code.isascii() and code.isdigit()):
         raise ValueError(f"product code must be 1-4 decimal digits: {raw!r}")
     return code
+
+
+def _intern(check: Callable[[str], str],
+            *columns: Sequence[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
+    """The sorted distinct codes ``check`` makes of the strings in ``columns``
+    (one call per distinct string), and each column as ids into them."""
+    codes = {raw: check(raw) for raw in set().union(*columns)}
+    roster = sorted(set(codes.values()))
+    index = {code: i for i, code in enumerate(roster)}
+    ids = {raw: index[code] for raw, code in codes.items()}
+    return tuple(roster), [np.fromiter(map(ids.__getitem__, column), np.intp, len(column))
+                           for column in columns]
 
 
 def _check_digit_level(digits: int) -> None:
@@ -115,16 +131,9 @@ class FlowNetwork:
         """
         if isinstance(edges, Mapping):
             edges = [(s, d, w) for (s, d), w in edges.items()]
-        srcs, dsts, weights = [], [], []
-        for src, dst, weight in edges:
-            srcs.append(country_id(src))
-            dsts.append(country_id(dst))
-            weights.append(weight)
-        nodes = sorted(set(srcs).union(dsts))
-        index = {c: i for i, c in enumerate(nodes)}
-        (src, dst), totals = _cells(
-            [np.fromiter(map(index.__getitem__, ends), np.intp, len(ends))
-             for ends in (srcs, dsts)], np.array(weights, dtype=float))
+        srcs, dsts, weights = list(zip(*edges, strict=True)) or [()] * 3
+        nodes, ends = _intern(country_id, srcs, dsts)
+        (src, dst), totals = _cells(ends, np.array(weights, dtype=float))
         return _network(nodes, src, dst, totals, product, year, 0.0)
 
     @property
@@ -149,70 +158,88 @@ class FlowNetwork:
                 f"n={self.n}, edges={edges})")
 
 
-class _Rows(NamedTuple):
-    """One year's trade records as columns, in record order.  Ids index
-    sorted rosters, so ordering by id orders by name."""
+@dataclass(frozen=True, eq=False)
+class TradeTable:
+    """Bilateral trade rows as columns, in row order.  ``exporter`` and
+    ``importer`` are ids into the sorted roster ``countries``, ``product``
+    ids into the sorted roster ``products``; ``len()`` is the row count."""
 
-    countries: list[str]     # sorted country roster
-    groups: list[str]        # sorted product codes truncated to the digit level
-    exporter: np.ndarray     # country id per record
+    countries: tuple[str, ...]
+    products: tuple[str, ...]
+    year: np.ndarray         # int64
+    exporter: np.ndarray     # country id per row
     importer: np.ndarray
-    group: np.ndarray        # product-group id per record, -1 if the code is too short
-    loop: np.ndarray         # exporter == importer
-    value: np.ndarray
+    product: np.ndarray      # product id per row
+    value: np.ndarray        # float64
+
+    @classmethod
+    def from_rows(cls, rows: Iterable[tuple]) -> TradeTable:
+        """The table of ``(year, exporter, importer, product, value)`` rows;
+        codes go through ``country_id`` and ``product_code``."""
+        years, exporters, importers, codes, values = list(zip(*rows, strict=True)) or [()] * 5
+        countries, (exporter, importer) = _intern(country_id, exporters, importers)
+        products, (product,) = _intern(product_code, codes)
+        return cls(countries, products, np.array(years, dtype=np.int64),
+                   exporter, importer, product, np.array(values, dtype=float))
+
+    @classmethod
+    def concat(cls, tables: Sequence[TradeTable]) -> TradeTable:
+        """The rows of ``tables`` in order, over the union of their rosters."""
+        countries, country_ids = _intern(str, *(t.countries for t in tables))
+        products, product_ids = _intern(str, *(t.products for t in tables))
+        columns = zip(*((t.year, c[t.exporter], c[t.importer], p[t.product], t.value)
+                        for t, c, p in zip(tables, country_ids, product_ids)))
+        return cls(countries, products, *map(np.concatenate, columns))
+
+    def __len__(self) -> int:
+        return len(self.value)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, TradeTable):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f.name), getattr(other, f.name))
+                   for f in fields(self))
 
 
 def _product_groups(codes: Sequence[str], digit_level: int) -> tuple[list[str], np.ndarray]:
-    """Sorted distinct codes truncated to ``digit_level``, and each code's
-    position among them: -1 for a code shorter than the digit level."""
+    """Sorted distinct ``codes`` truncated to ``digit_level``, and each
+    code's position among them: -1 for a code shorter than the digit level."""
     _check_digit_level(digit_level)
-    distinct = set(codes)
-    groups = sorted({c[:digit_level] for c in distinct if len(c) >= digit_level})
+    groups = sorted({c[:digit_level] for c in codes if len(c) >= digit_level})
     index = {g: i for i, g in enumerate(groups)}
-    position = {c: index[c[:digit_level]] if len(c) >= digit_level else -1
-                for c in distinct}
-    return groups, np.fromiter(map(position.__getitem__, codes), np.intp, len(codes))
+    # Every group has digit_level digits, so a shorter code is never a key.
+    return groups, np.array([index.get(c[:digit_level], -1) for c in codes], dtype=np.intp)
 
 
-def enumerate_products(records: Iterable, digit_level: int) -> list[str]:
+def enumerate_products(table: TradeTable, digit_level: int) -> list[str]:
     """Distinct product codes truncated to ``digit_level``, sorted ascending.
 
     Codes shorter than the digit level are excluded with a counted warning
     rather than padded into invented categories.
     """
-    groups, group = _product_groups([rec.product for rec in records], digit_level)
-    _warn_short(group, digit_level)
+    groups, position = _product_groups(table.products, digit_level)
+    _warn_short(position[table.product], digit_level)
     return groups
 
 
-def _encode(records: Iterable, year: int, digit_level: int) -> _Rows:
-    """Encode the records of ``year`` as integer columns.
-
-    Raises NegativeFlow on a negative value in any year, naming the first
-    such record.
-    """
-    records = list(records)
-    value = np.fromiter(map(attrgetter("value"), records), float, len(records))
-    negative = np.flatnonzero(value < 0)
+def _year_rows(table: TradeTable, year: int, digit_level: int):
+    """The sorted product codes of ``year`` truncated to ``digit_level``,
+    and per row of that year its position among them (-1 for a shorter
+    code), exporter and importer ids, self-loop mask and value.  Raises
+    NegativeFlow on a negative value in any year, naming the first such row."""
+    negative = np.flatnonzero(table.value < 0)
     if negative.size:
-        rec = records[negative[0]]
-        raise NegativeFlow(f"negative trade value {rec.value} "
-                           f"({rec.exporter}->{rec.importer}, {rec.product})")
-    in_year = np.fromiter(map(eq, map(attrgetter("year"), records), repeat(year)),
-                          bool, len(records))
-    if not in_year.all():
-        keep = np.flatnonzero(in_year)
-        records = [records[i] for i in keep.tolist()]
-        value = value[keep]
-
-    exporters = list(map(attrgetter("exporter"), records))
-    importers = list(map(attrgetter("importer"), records))
-    countries = sorted(set(exporters).union(importers))
-    index = {c: i for i, c in enumerate(countries)}
-    exporter = np.fromiter(map(index.__getitem__, exporters), np.intp, len(records))
-    importer = np.fromiter(map(index.__getitem__, importers), np.intp, len(records))
-    groups, group = _product_groups(list(map(attrgetter("product"), records)), digit_level)
-    return _Rows(countries, groups, exporter, importer, group, exporter == importer, value)
+        k = negative[0]
+        src, dst = table.countries[table.exporter[k]], table.countries[table.importer[k]]
+        raise NegativeFlow(f"negative trade value {table.value[k].item()} "
+                           f"({src}->{dst}, {table.products[table.product[k]]})")
+    keep = table.year == year
+    exporter, importer, product, value = (column[keep] for column in (
+        table.exporter, table.importer, table.product, table.value))
+    # Grouped over the year's own codes, so another year's code is no product.
+    ids, (product,) = _positions(len(table.products), product)
+    groups, position = _product_groups([table.products[i] for i in ids.tolist()], digit_level)
+    return groups, position[product], exporter, importer, exporter == importer, value
 
 
 def _cells(keys: Sequence[np.ndarray], values: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -220,7 +247,7 @@ def _cells(keys: Sequence[np.ndarray], values: np.ndarray) -> tuple[tuple[np.nda
     integer columns, most significant first.
 
     Returns the distinct keys, in lexicographic order, and each cell's
-    exactly rounded total: a one-record cell keeps its value, since
+    exactly rounded total: a one-row cell keeps its value, since
     ``fsum([x]) == x`` (adding 0.0 turns -0.0 into the 0.0 fsum gives), and
     larger cells go through ``cell_total``.  ValueError if a total is not
     finite.
@@ -275,7 +302,7 @@ def _network(countries: Sequence[str], src: np.ndarray, dst: np.ndarray,
 
 
 def _warn_short(group: np.ndarray, digit_level: int, stacklevel: int = 3) -> None:
-    """Warn about the records whose code is shorter than the digit level
+    """Warn about the rows whose code is shorter than the digit level
     (group id -1).  ``stacklevel`` counts frames from here, as in
     ``warnings.warn``: the default 3 points at the call site of this
     function's caller; add one per private frame in between."""
@@ -286,7 +313,7 @@ def _warn_short(group: np.ndarray, digit_level: int, stacklevel: int = 3) -> Non
 
 
 def _warn_self_loops(values: np.ndarray, stacklevel: int = 3) -> None:
-    """Warn about dropped self-loops, with their values summed in record
+    """Warn about dropped self-loops, with their values summed in row
     order; ``stacklevel`` as in ``_warn_short``."""
     if len(values):
         total = reduce(add, values.tolist(), 0.0)
@@ -294,17 +321,17 @@ def _warn_self_loops(values: np.ndarray, stacklevel: int = 3) -> None:
                       FlowDataWarning, stacklevel=stacklevel)
 
 
-def build_network(records: Iterable, product: str, year: int, digit_level: int,
+def build_network(table: TradeTable, product: str, year: int, digit_level: int,
                   min_flow: float = 0.0) -> FlowNetwork:
-    """Aggregate trade records into the flow network of one product and year.
+    """Aggregate a trade table into the flow network of one product and year.
 
-    Records matching the year and whose product code, truncated to
+    Rows matching the year and whose product code, truncated to
     ``digit_level``, equals ``product`` are summed per (exporter, importer)
     ordered pair.  The sentinel ``ALL`` matches every code and yields the
     integrated all-products network.  Self-loops are dropped with a counted
-    warning; records whose code is shorter than the digit level are excluded
+    warning; rows whose code is shorter than the digit level are excluded
     likewise.  Aggregation uses exactly-rounded summation, so the result is
-    independent of record order.  Edges below ``min_flow`` (an optional
+    independent of row order.  Edges below ``min_flow`` (an optional
     post-aggregation filter, off by default) are removed before nodes with
     zero total flow are stripped.  Node order is lexicographic.
 
@@ -318,21 +345,20 @@ def build_network(records: Iterable, product: str, year: int, digit_level: int,
             raise ValueError(
                 f"product {product!r} does not have digit level {digit_level}")
 
-    rows = _encode(records, year, digit_level)
+    groups, group, exporter, importer, loop, value = _year_rows(table, year, digit_level)
     if product == ALL:
-        matched = np.ones(len(rows.value), dtype=bool)
-    elif product in rows.groups:
-        matched = rows.group == rows.groups.index(product)
+        matched = np.ones(len(value), dtype=bool)
+    elif product in groups:
+        matched = group == groups.index(product)
     else:
-        matched = np.zeros(len(rows.value), dtype=bool)
+        matched = np.zeros(len(value), dtype=bool)
     if not matched.any():
         raise EmptySelection(
             f"no record matches product={product!r} year={year} at {digit_level} digits")
     if product != ALL:
-        _warn_short(rows.group, digit_level)
-    _warn_self_loops(rows.value[matched & rows.loop])
+        _warn_short(group, digit_level)
+    _warn_self_loops(value[matched & loop])
 
-    take = matched & ~rows.loop
-    (src, dst), totals = _cells([rows.exporter[take], rows.importer[take]],
-                                rows.value[take])
-    return _network(rows.countries, src, dst, totals, product, year, min_flow)
+    take = matched & ~loop
+    (src, dst), totals = _cells([exporter[take], importer[take]], value[take])
+    return _network(table.countries, src, dst, totals, product, year, min_flow)

@@ -1,7 +1,7 @@
 """Batch orchestration: per-product analyses, exponent distributions, time
 series, and correlation against complexity columns.
 
-Batch results are a pure function of (records, parameters), listed in
+Batch results are a pure function of (trade table, parameters), listed in
 product-code order.
 """
 
@@ -9,17 +9,15 @@ from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
-from itertools import groupby, pairwise
-from operator import attrgetter
+from itertools import pairwise
 
 import numpy as np
 
 from . import allometry, flowcalc, metrics
 from .errors import (DegenerateFit, EmptySelection, SingularNetwork,
                      TooFewPoints)
-from .ingest import TradeRecord
-from .netcore import (ALL, _cells, _encode, _network, _warn_self_loops,
-                      _warn_short)
+from .netcore import (ALL, TradeTable, _cells, _network, _warn_self_loops,
+                      _warn_short, _year_rows)
 # Unused here, but importable as pipeline.build_network and
 # pipeline.enumerate_products: the names perfbench/spans.py wraps.
 from .netcore import build_network, enumerate_products  # noqa: F401
@@ -72,32 +70,31 @@ def _summary(net, analysis: flowcalc.FlowAnalysis) -> ProductResult:
                          net.n, report.topk)
 
 
-def _year_cells(records: Iterable[TradeRecord], year: int, digit_level: int):
-    """The year's country roster, and the (exporter, importer, total) cells
-    of each product at ``digit_level`` and then of ``ALL``: the products'
-    come from one sort, sliced per product, and those of ``ALL``, which keep
-    codes shorter than the digit level, from a second.  The year's encoded
-    columns are freed on return, before any network is analyzed."""
-    rows = _encode(records, year, digit_level)
-    if not len(rows.value):
+def _year_cells(table: TradeTable, year: int, digit_level: int):
+    """The country roster, and the (exporter, importer, total) cells of each
+    product of ``year`` at ``digit_level`` and then of ``ALL``: the
+    products' come from one sort, sliced per product, and those of ``ALL``,
+    which keep codes shorter than the digit level, from a second.  The
+    year's columns are freed on return, before any network is analyzed."""
+    groups, group, exporter, importer, loop, value = _year_rows(table, year, digit_level)
+    if not len(value):
         raise EmptySelection(f"no records for year {year}")
-    _warn_short(rows.group, digit_level, stacklevel=4)
-    _warn_self_loops(rows.value[rows.loop], stacklevel=4)
+    _warn_short(group, digit_level, stacklevel=4)
+    _warn_self_loops(value[loop], stacklevel=4)
 
-    flows = ~rows.loop
-    take = flows & (rows.group >= 0)
-    (group, src, dst), totals = _cells(
-        [rows.group[take], rows.exporter[take], rows.importer[take]], rows.value[take])
-    bounds = np.searchsorted(group, np.arange(len(rows.groups) + 1)).tolist()
+    flows = ~loop
+    take = flows & (group >= 0)
+    (code, src, dst), totals = _cells([group[take], exporter[take], importer[take]],
+                                      value[take])
+    bounds = np.searchsorted(code, np.arange(len(groups) + 1)).tolist()
     jobs = [(code, src[lo:hi], dst[lo:hi], totals[lo:hi])
-            for code, (lo, hi) in zip(rows.groups, pairwise(bounds))]
-    (src, dst), totals = _cells([rows.exporter[flows], rows.importer[flows]],
-                                rows.value[flows])
+            for code, (lo, hi) in zip(groups, pairwise(bounds))]
+    (src, dst), totals = _cells([exporter[flows], importer[flows]], value[flows])
     jobs.append((ALL, src, dst, totals))
-    return rows.countries, jobs
+    return table.countries, jobs
 
 
-def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
+def batch(table: TradeTable, year: int, digit_level: int,
           min_countries: int = 10, min_flow: float = 0.0) -> BatchResult:
     """Analyze every product at ``digit_level`` for one year, plus the
     integrated all-products network.
@@ -109,7 +106,7 @@ def batch(records: Iterable[TradeRecord], year: int, digit_level: int,
     """
     if min_countries < 3:
         raise ValueError(f"min_countries must be at least 3, got {min_countries}")
-    countries, jobs = _year_cells(records, year, digit_level)
+    countries, jobs = _year_cells(table, year, digit_level)
 
     results = []
     integrated = None
@@ -181,22 +178,19 @@ def histogram(results: Iterable[ProductResult], bin_width: float,
                      {g: tuple(v) for g, v in stacks.items()})
 
 
-def timeseries(records: Iterable[TradeRecord], digit_level: int,
+def timeseries(table: TradeTable, digit_level: int,
                years: Iterable[int] | None = None, min_countries: int = 10,
                min_flow: float = 0.0) -> dict[str, dict[int, float | None]]:
-    """Per-product exponent by year; missing product-year combinations are
-    explicit ``None`` gaps, never zeros."""
-    year_of = attrgetter("year")
-    by_year = {yr: list(group)
-               for yr, group in groupby(sorted(records, key=year_of), key=year_of)}
-    years = sorted(by_year) if years is None else list(years)
+    """Per-product exponent by year, from one ``batch`` per year; missing
+    product-year combinations are explicit ``None`` gaps, never zeros."""
+    years = np.unique(table.year).tolist() if years is None else list(years)
     if not years:
         raise ValueError("no years requested")
 
     per_year: dict[int, dict[str, float]] = {}
     for yr in years:
         try:
-            outcome = batch(by_year.get(yr, ()), yr, digit_level,
+            outcome = batch(table, yr, digit_level,
                             min_countries=min_countries, min_flow=min_flow)
             per_year[yr] = {r.product: r.eta for r in outcome.results}
         except EmptySelection:

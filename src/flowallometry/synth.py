@@ -13,8 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec
-from .ingest import TradeRecord
-from .netcore import ALL, FlowNetwork
+from .netcore import ALL, FlowNetwork, TradeTable
 
 KINDS = ("star", "chain", "random_tree", "random_flow")
 
@@ -139,11 +138,11 @@ def _random_flow(spec: SynthSpec) -> np.ndarray:
     return flux
 
 
-def to_records(net: FlowNetwork, product: str = "1",
-               year: int | None = None) -> list[TradeRecord]:
-    """Flatten a network into canonical trade records, one per edge, in
-    row-major edge order."""
+def to_table(net: FlowNetwork, product: str = "1",
+             year: int | None = None) -> TradeTable:
+    """The network as a trade table, one row per edge, in row-major edge
+    order."""
     year = net.year if year is None else year
-    return [TradeRecord(year, net.nodes[int(i)], net.nodes[int(j)], product,
-                        float(net.flux[i, j]))
-            for i, j in zip(*np.nonzero(net.flux))]
+    rows = ((year, net.nodes[i], net.nodes[j], product, net.flux[i, j].item())
+            for i, j in np.argwhere(net.flux).tolist())
+    return TradeTable.from_rows(rows)

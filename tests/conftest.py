@@ -1,6 +1,6 @@
 import pytest
 
-from flowallometry import FlowNetwork, TradeRecord
+from flowallometry import FlowNetwork, TradeTable
 
 
 @pytest.fixture
@@ -12,12 +12,17 @@ def three_node_net():
 
 
 @pytest.fixture
-def three_node_records():
+def three_node_rows():
     return [
-        TradeRecord(2000, "AAA", "BBB", "7100", 2.0),
-        TradeRecord(2000, "AAA", "CCC", "7100", 1.0),
-        TradeRecord(2000, "BBB", "CCC", "7100", 1.0),
+        (2000, "AAA", "BBB", "7100", 2.0),
+        (2000, "AAA", "CCC", "7100", 1.0),
+        (2000, "BBB", "CCC", "7100", 1.0),
     ]
+
+
+@pytest.fixture
+def three_node_table(three_node_rows):
+    return TradeTable.from_rows(three_node_rows)
 
 
 def random_net(rng, n=None, density=None, lo=0.5, hi=100.0, back=0.0):

@@ -222,9 +222,8 @@ def test_9_dataset_gated_reproduction():
         "3": (1.042, 0.821), "2": (1.001, 0.815),
     }
     with criterion(9, "dataset-gated reproduction"):
-        records = fa.parse_trades(Path(trades_path))
-        year_records = [r for r in records if r.year == 2000]
-        outcome = fa.batch(year_records, 2000, 1, min_countries=10)
+        trades = fa.parse_trades(Path(trades_path))
+        outcome = fa.batch(trades, 2000, 1, min_countries=10)
         by_code = {r.product: r for r in outcome.results}
         for code, (eta, gini_value) in expected.items():
             assert code in by_code, f"code {code} missing from batch results"
@@ -238,7 +237,7 @@ def test_9_dataset_gated_reproduction():
 
         # flow-balance identity on every ingested product network
         for code in expected:
-            net = fa.build_network(year_records, code, 2000, 1)
+            net = fa.build_network(trades, code, 2000, 1)
             result = fa.analyze(net)
             assert fa.throughflow_residual(
                 result.throughflow, result.source,
@@ -247,8 +246,8 @@ def test_9_dataset_gated_reproduction():
         if gdp_path:
             gdp = {a.country: a.value
                    for a in fa.parse_attributes(Path(gdp_path), kind="gdp")}
-            table = fa.complexity_table(year_records, 2000, 2, gdp=gdp)
+            table = fa.complexity_table(trades, 2000, 2, gdp=gdp)
             column = fa.prody_all(table)
-            two_digit = fa.batch(year_records, 2000, 2, min_countries=10)
+            two_digit = fa.batch(trades, 2000, 2, min_countries=10)
             r, _ = fa.correlate_complexity(two_digit.results, column)
             assert r == pytest.approx(0.37, abs=0.1)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from flowallometry import parse_trades
 from flowallometry.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -190,6 +191,36 @@ class TestInputHandling:
             outputs.append(text)
         assert outputs[0] == outputs[1] == outputs[2]
 
+    @pytest.mark.parametrize("argv", [
+        ("timeseries", "--min-countries", "3", "--format", "csv"),
+        ("timeseries", "--min-countries", "3", "--format", "json"),
+        ("correlate", "--year", "2000", "--min-countries", "3", "--gdp", GDP7,
+         "--format", "csv"),
+        ("correlate", "--year", "2000", "--min-countries", "3", "--gdp", GDP7,
+         "--format", "json"),
+    ])
+    def test_split_rosters_match_single_file(self, tmp_path, argv):
+        header, *rows = [line for line in Path(CORPUS4).read_text().splitlines()
+                         if not line.startswith("#")]
+        halves = ([], [])
+        for row in rows:
+            # country N0006 and products 3 and 4 only in the second file
+            _, exporter, importer, product, _ = row.split(",")
+            halves["N0006" in (exporter, importer) or product in ("3", "4")].append(row)
+        paths = [tmp_path / name for name in ("single.csv", "a.csv", "b.csv")]
+        for path, body in zip(paths, (halves[0] + halves[1], *halves)):
+            path.write_text("\n".join([header, *body]) + "\n")
+        first, second = (parse_trades(path) for path in paths[1:])
+        assert first.countries != second.countries and first.products != second.products
+        single, a, b = (str(p) for p in paths)
+        outputs = []
+        for inputs in ((single,), (a, b), (b, a)):
+            flags = [flag for path in inputs for flag in ("--input", path)]
+            code, text = run(tmp_path, argv[0], *flags, *argv[1:])
+            assert code == 0
+            outputs.append(text)
+        assert outputs[0] == outputs[1] == outputs[2]
+
     def test_skip_list_lands_in_csv_comments(self, tmp_path):
         trades = tmp_path / "trades.csv"
         rows = ["year,exporter,importer,product,value"]
@@ -252,7 +283,10 @@ class TestExitCodes:
         b"2000,AAA,BBB,1,\xff\xfe5\n",
         "2000,AAA,BBB,\u00b2,5\n".encode(),
         b"2000,AAA,BBB,1,1e308\n2000,AAA,BBB,1,1e308\n",
-    ], ids=["oversized_field", "not_utf8", "superscript_code", "overflow"])
+        b'2000,"AAA,BBB",CCC,1,7\n',
+        b'2000,AAA,"B""B",1,7\n',
+    ], ids=["oversized_field", "not_utf8", "superscript_code", "overflow",
+            "comma_in_country", "quote_in_country"])
     def test_malformed_input_exits_without_traceback(self, tmp_path, capsys,
                                                      command, rows):
         trades = tmp_path / "bad.csv"

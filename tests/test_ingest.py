@@ -1,11 +1,12 @@
 import io
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from flowallometry import (CountryAttribute, DuplicateCountry, FlowAnalysisError,
-                           FlowDataWarning, ParseError, TradeRecord, enumerate_products,
+                           FlowDataWarning, ParseError, TradeTable, enumerate_products,
                            parse_attributes, parse_exclusions,
                            parse_product_column, parse_trades, write_trades)
 
@@ -14,12 +15,28 @@ HEADER = "year,exporter,importer,product,value\n"
 
 class TestParseTrades:
     def test_direct_field_mapping(self):
-        records = parse_trades(HEADER + "2000,USA,JPN,7100,1500.0\n")
-        assert records == [TradeRecord(2000, "USA", "JPN", "7100", 1500.0)]
+        table = parse_trades(HEADER + "2000,USA,JPN,7100,1500.0\n")
+        assert table == TradeTable.from_rows([(2000, "USA", "JPN", "7100", 1500.0)])
+        assert (table.countries, table.products) == (("JPN", "USA"), ("7100",))
+        assert table.year.tolist() == [2000] and table.value.tolist() == [1500.0]
+        assert (table.exporter.tolist(), table.importer.tolist()) == ([1], [0])
 
     def test_lowercase_country_normalized(self):
-        records = parse_trades(HEADER + "2000,usa,jpn,7100,5\n")
-        assert records[0].exporter == "USA"
+        table = parse_trades(HEADER + "2000,usa,jpn,7100,5\n2000,USA,Jpn,7100,6\n")
+        assert table.countries == ("JPN", "USA")
+        assert table.exporter.tolist() == [1, 1] and table.importer.tolist() == [0, 0]
+
+    def test_bad_code_reported_at_its_first_row_and_column(self):
+        text = HEADER + "2000,USA,JPN,7100,5\n2000,JPN,U SA,7100,5\n2000,U SA,JPN,7100,5\n"
+        with pytest.raises(ParseError) as err:
+            parse_trades(text)
+        assert err.value.row == 2 and err.value.column == "importer"
+
+    @pytest.mark.parametrize("field", ['"A,B"', '"A""B"'])
+    def test_comma_or_quote_in_country_aborts(self, field):
+        with pytest.raises(ParseError) as err:
+            parse_trades(HEADER + f"2000,USA,JPN,7100,5\n2000,{field},JPN,7100,5\n")
+        assert err.value.row == 2 and err.value.column == "exporter"
 
     def test_bad_product_aborts(self):
         with pytest.raises(ParseError) as err:
@@ -80,8 +97,29 @@ class TestParseTrades:
                   st.floats(0, 1e12, allow_nan=False, allow_infinity=False)),
         max_size=30))
     def test_round_trip(self, rows):
-        records = [TradeRecord(*row) for row in rows]
-        assert parse_trades(write_trades(records)) == records
+        table = TradeTable.from_rows(rows)
+        assert len(table) == len(rows)
+        assert parse_trades(write_trades(table)) == table
+
+
+    @given(st.lists(
+        st.tuples(st.integers(1998, 2001),
+                  st.sampled_from(["USA", "JPN", "DEU", "BRA", "MEX"]),
+                  st.sampled_from(["USA", "JPN", "DEU", "BRA", "MEX"]),
+                  st.sampled_from(["7", "71", "7100", "0111", "05"]),
+                  st.floats(0, 1e12, allow_nan=False, allow_infinity=False)),
+        max_size=30), st.data())
+    def test_concat_equals_parsing_joined_text(self, rows, data):
+        split = data.draw(st.integers(0, len(rows)))
+        first, second = (write_trades(TradeTable.from_rows(part))
+                         for part in (rows[:split], rows[split:]))
+        joined = parse_trades(first + second.removeprefix(HEADER))
+        table = TradeTable.concat([parse_trades(first), parse_trades(second)])
+        for name in ("countries", "products", "year", "exporter", "importer",
+                     "product", "value"):
+            column, expected = getattr(table, name), getattr(joined, name)
+            assert np.array_equal(column, expected), name
+            assert np.asarray(column).dtype == np.asarray(expected).dtype, name
 
 
 class TestParseAttributes:
@@ -126,33 +164,31 @@ class TestProductColumnAndExclusions:
 
     def test_str_is_content_not_a_path(self):
         assert parse_exclusions("93") == {"93"}
-        assert parse_trades(HEADER.rstrip("\n")) == []
+        assert len(parse_trades(HEADER.rstrip("\n"))) == 0
+
+
+def products_table(codes):
+    return TradeTable.from_rows((2000, "A", "B", c, 1.0) for c in codes)
 
 
 class TestEnumerateProducts:
     def test_truncates_to_level(self):
-        records = [TradeRecord(2000, "A", "B", c, 1.0)
-                   for c in ("7100", "7102", "0111")]
-        assert enumerate_products(records, 1) == ["0", "7"]
+        assert enumerate_products(products_table(["7100", "7102", "0111"]), 1) == ["0", "7"]
 
     def test_full_depth(self):
-        records = [TradeRecord(2000, "A", "B", c, 1.0) for c in ("7100", "7102")]
-        assert enumerate_products(records, 4) == ["7100", "7102"]
+        assert enumerate_products(products_table(["7100", "7102"]), 4) == ["7100", "7102"]
 
     def test_empty(self):
-        assert enumerate_products([], 2) == []
+        assert enumerate_products(products_table([]), 2) == []
 
     def test_short_codes_warn(self):
-        records = [TradeRecord(2000, "A", "B", "7", 1.0),
-                   TradeRecord(2000, "A", "B", "7100", 1.0)]
-        with pytest.warns(FlowDataWarning, match="shorter"):
-            assert enumerate_products(records, 2) == ["71"]
+        with pytest.warns(FlowDataWarning, match=r"excluded 2 record\(s\)"):
+            assert enumerate_products(products_table(["7", "7100", "7"]), 2) == ["71"]
 
     @given(st.lists(st.sampled_from(["7", "71", "710", "7100", "05", "0532"]),
                     max_size=20))
     def test_sorted_and_unique(self, codes):
-        records = [TradeRecord(2000, "A", "B", c, 1.0) for c in codes]
-        out = enumerate_products(records, 1)
+        out = enumerate_products(products_table(codes), 1)
         assert out == sorted(set(out))
 
 

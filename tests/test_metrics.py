@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from flowallometry import (AllZero, ComplexityTable, NoExports, NoMarket,
-                           TooFewPoints, TradeRecord, ZeroVariance,
+                           TooFewPoints, TradeTable, ZeroVariance,
                            complexity_table, dominance_share, gini,
                            inequality_report, pearson, prody, prody_all, rca,
                            rca_column)
@@ -203,24 +203,24 @@ class TestPearson:
 
 class TestComplexityTable:
     def test_from_records(self):
-        records = [
-            TradeRecord(2000, "USA", "JPN", "7100", 5.0),
-            TradeRecord(2000, "USA", "JPN", "7102", 5.0),
-            TradeRecord(2000, "JPN", "USA", "0111", 10.0),
-            TradeRecord(1999, "JPN", "USA", "0111", 99.0),
-        ]
-        table = complexity_table(records, 2000, 2)
+        trades = TradeTable.from_rows([
+            (2000, "USA", "JPN", "7100", 5.0),
+            (2000, "USA", "JPN", "7102", 5.0),
+            (2000, "JPN", "USA", "0111", 10.0),
+            (1999, "JPN", "USA", "0111", 99.0),
+        ])
+        table = complexity_table(trades, 2000, 2)
         assert table.countries == ("JPN", "USA")
         assert table.products == ("01", "71")
         assert table.exports[table.country_index("USA"),
                              table.product_index("71")] == 10.0
 
     def test_missing_gdp_rejected(self):
-        records = [TradeRecord(2000, "USA", "JPN", "7100", 5.0)]
+        trades = TradeTable.from_rows([(2000, "USA", "JPN", "7100", 5.0)])
         with pytest.raises(ValueError, match="missing"):
-            complexity_table(records, 2000, 2, gdp={"JPN": 30000.0})
+            complexity_table(trades, 2000, 2, gdp={"JPN": 30000.0})
 
     def test_gdp_must_cover_exporters_only(self):
-        records = [TradeRecord(2000, "USA", "JPN", "7100", 5.0)]
-        table = complexity_table(records, 2000, 2, gdp={"USA": 30000.0})
+        trades = TradeTable.from_rows([(2000, "USA", "JPN", "7100", 5.0)])
+        table = complexity_table(trades, 2000, 2, gdp={"USA": 30000.0})
         assert table.countries == ("USA",)

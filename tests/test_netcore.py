@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from flowallometry import (ALL, EmptySelection, FlowDataWarning, FlowNetwork,
-                           NegativeFlow, TradeRecord, build_network,
+                           NegativeFlow, TradeTable, build_network,
                            country_id, product_code)
 
 
@@ -14,7 +14,7 @@ class TestIdentifiers:
     def test_country_id_uppercases(self):
         assert country_id("usa") == "USA"
 
-    @pytest.mark.parametrize("bad", ["", "U SA", "US\t", "A\nB"])
+    @pytest.mark.parametrize("bad", ["", "U SA", "US\t", "A\nB", "A,B", 'A"B'])
     def test_country_id_rejects(self, bad):
         with pytest.raises(ValueError):
             country_id(bad)
@@ -38,6 +38,8 @@ class TestIdentifiers:
                 raise ValueError("empty country code")
             if any(ch.isspace() for ch in code):
                 raise ValueError(f"country code contains whitespace: {raw!r}")
+            if any(ch in ',"' for ch in code):
+                raise ValueError(f"country code contains a comma or a double quote: {raw!r}")
             return code
 
         def outcome(fn):
@@ -90,84 +92,84 @@ class TestFlowNetwork:
 
 class TestBuildNetwork:
     def test_sums_matching_records(self):
-        records = [TradeRecord(2000, "USA", "JPN", "7100", 2.0),
-                   TradeRecord(2000, "USA", "JPN", "7102", 3.0)]
-        net = build_network(records, "71", 2000, 2)
+        rows = [(2000, "USA", "JPN", "7100", 2.0),
+                (2000, "USA", "JPN", "7102", 3.0)]
+        net = build_network(TradeTable.from_rows(rows), "71", 2000, 2)
         assert net.flux[net.index("USA"), net.index("JPN")] == 5.0
 
     def test_self_loop_dropped_with_counted_warning(self):
-        records = [TradeRecord(2000, "USA", "USA", "7100", 9.0),
-                   TradeRecord(2000, "USA", "JPN", "7100", 1.0)]
+        rows = [(2000, "USA", "USA", "7100", 9.0),
+                (2000, "USA", "JPN", "7100", 1.0)]
         with pytest.warns(FlowDataWarning, match=r"dropped 1 self-loop"):
-            net = build_network(records, "71", 2000, 2)
+            net = build_network(TradeTable.from_rows(rows), "71", 2000, 2)
         assert net.flux.sum() == 1.0
 
     def test_year_filter(self):
-        records = [TradeRecord(1999, "USA", "JPN", "7100", 5.0),
-                   TradeRecord(2000, "USA", "JPN", "7100", 2.0)]
-        net = build_network(records, "71", 2000, 2)
+        rows = [(1999, "USA", "JPN", "7100", 5.0),
+                (2000, "USA", "JPN", "7100", 2.0)]
+        net = build_network(TradeTable.from_rows(rows), "71", 2000, 2)
         assert net.flux.sum() == 2.0
 
-    def test_empty_selection(self, three_node_records):
+    def test_empty_selection(self, three_node_table):
         with pytest.raises(EmptySelection):
-            build_network(three_node_records, "99", 2000, 2)
+            build_network(three_node_table, "99", 2000, 2)
 
     def test_negative_value_rejected(self):
-        records = [TradeRecord(2000, "USA", "JPN", "7100", -1.0)]
+        rows = [(2000, "USA", "JPN", "7100", -1.0)]
         with pytest.raises(NegativeFlow):
-            build_network(records, "71", 2000, 2)
+            build_network(TradeTable.from_rows(rows), "71", 2000, 2)
 
     def test_nodes_sorted_unique(self):
-        records = [TradeRecord(2000, "ZMB", "AUT", "11", 1.0),
-                   TradeRecord(2000, "AUT", "MEX", "11", 1.0)]
-        net = build_network(records, "11", 2000, 2)
+        rows = [(2000, "ZMB", "AUT", "11", 1.0),
+                (2000, "AUT", "MEX", "11", 1.0)]
+        net = build_network(TradeTable.from_rows(rows), "11", 2000, 2)
         assert net.nodes == ("AUT", "MEX", "ZMB")
 
-    def test_all_sentinel_matches_every_code(self, three_node_records):
-        extra = three_node_records + [TradeRecord(2000, "DDD", "AAA", "05", 4.0)]
-        net = build_network(extra, ALL, 2000, 1)
+    def test_all_sentinel_matches_every_code(self, three_node_rows):
+        extra = three_node_rows + [(2000, "DDD", "AAA", "05", 4.0)]
+        net = build_network(TradeTable.from_rows(extra), ALL, 2000, 1)
         assert net.flux.sum() == 8.0
 
     def test_short_codes_excluded_with_warning(self):
-        records = [TradeRecord(2000, "USA", "JPN", "7", 5.0),
-                   TradeRecord(2000, "USA", "JPN", "7100", 2.0)]
+        rows = [(2000, "USA", "JPN", "7", 5.0),
+                (2000, "USA", "JPN", "7100", 2.0)]
         with pytest.warns(FlowDataWarning, match="shorter"):
-            net = build_network(records, "71", 2000, 2)
+            net = build_network(TradeTable.from_rows(rows), "71", 2000, 2)
         assert net.flux.sum() == 2.0
 
     def test_min_flow_filter(self):
-        records = [TradeRecord(2000, "USA", "JPN", "71", 5.0),
-                   TradeRecord(2000, "USA", "MEX", "71", 0.5)]
-        net = build_network(records, "71", 2000, 2, min_flow=1.0)
+        rows = [(2000, "USA", "JPN", "71", 5.0),
+                (2000, "USA", "MEX", "71", 0.5)]
+        net = build_network(TradeTable.from_rows(rows), "71", 2000, 2, min_flow=1.0)
         assert net.nodes == ("JPN", "USA")
 
-    def test_product_must_match_digit_level(self, three_node_records):
+    def test_product_must_match_digit_level(self, three_node_table):
         with pytest.raises(ValueError):
-            build_network(three_node_records, "7", 2000, 2)
+            build_network(three_node_table, "7", 2000, 2)
 
     @given(st.permutations(range(6)))
     def test_aggregation_order_independent(self, order):
         base = [
-            TradeRecord(2000, "AAA", "BBB", "7100", 0.1),
-            TradeRecord(2000, "AAA", "BBB", "7101", 0.2),
-            TradeRecord(2000, "AAA", "BBB", "7109", 1e8),
-            TradeRecord(2000, "BBB", "CCC", "7100", 3.7),
-            TradeRecord(2000, "CCC", "AAA", "7100", 0.003),
-            TradeRecord(2000, "AAA", "BBB", "7100", 12.5),
+            (2000, "AAA", "BBB", "7100", 0.1),
+            (2000, "AAA", "BBB", "7101", 0.2),
+            (2000, "AAA", "BBB", "7109", 1e8),
+            (2000, "BBB", "CCC", "7100", 3.7),
+            (2000, "CCC", "AAA", "7100", 0.003),
+            (2000, "AAA", "BBB", "7100", 12.5),
         ]
-        reference = build_network(base, "71", 2000, 2)
-        shuffled = build_network([base[i] for i in order], "71", 2000, 2)
+        reference = build_network(TradeTable.from_rows(base), "71", 2000, 2)
+        shuffled = build_network(TradeTable.from_rows([base[i] for i in order]), "71", 2000, 2)
         assert shuffled == reference
 
     def test_flux_total_is_sum_minus_self_loops(self):
         rng = np.random.default_rng(5)
-        records = []
+        rows = []
         for _ in range(200):
             a, b = rng.integers(0, 6, size=2)
-            records.append(TradeRecord(
+            rows.append((
                 2000, f"C{a:02d}", f"C{b:02d}", "11", float(rng.uniform(0, 10))))
-        matching = sum(r.value for r in records)
-        loops = sum(r.value for r in records if r.exporter == r.importer)
+        matching = sum(value for *_, value in rows)
+        loops = sum(value for _, src, dst, _, value in rows if src == dst)
         with pytest.warns(FlowDataWarning):
-            net = build_network(records, "11", 2000, 2)
+            net = build_network(TradeTable.from_rows(rows), "11", 2000, 2)
         assert net.flux.sum() == pytest.approx(matching - loops, rel=1e-12)

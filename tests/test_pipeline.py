@@ -2,7 +2,7 @@ import math
 import random
 import warnings
 from collections import defaultdict
-from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,25 +11,37 @@ from hypothesis import strategies as st
 
 from flowallometry import (ALL, DegenerateFit, EmptySelection, FlowDataWarning,
                            FlowNetwork, SingularNetwork, TooFewPoints,
-                           TradeRecord, batch, build_network, complexity_table,
+                           TradeTable, batch, build_network, complexity_table,
                            correlate_complexity, enumerate_products, histogram,
                            prody_all, random_flow, summarize_network,
                            timeseries)
 from flowallometry.pipeline import ProductResult
-from flowallometry.synth import to_records
+from flowallometry.synth import to_table
+
+
+class Row(NamedTuple):
+    """One row, as ``TradeTable.from_rows`` takes it."""
+
+    year: int
+    exporter: str
+    importer: str
+    product: str
+    value: float
+
+
+trades = TradeTable.from_rows
 
 
 def corpus(year=2000):
     """Two random products over shared countries, plus a tiny third product."""
-    records = []
-    records += to_records(random_flow(12, density=0.5, seed=1), "1", year)
-    records += to_records(random_flow(14, density=0.5, seed=2), "2", year)
-    records += [TradeRecord(year, "N0000", "N0001", "3", 5.0)]
-    return records
+    return TradeTable.concat([
+        to_table(random_flow(12, density=0.5, seed=1), "1", year),
+        to_table(random_flow(14, density=0.5, seed=2), "2", year),
+        trades([(year, "N0000", "N0001", "3", 5.0)])])
 
 
 def mixed_corpus():
-    """Two years of 4-digit records under three 2-digit codes, many rows per
+    """Two years of 4-digit rows under three 2-digit codes, many rows per
     cell and widely spread values, plus a short code and a self-loop."""
     rng = np.random.default_rng(5)
     countries = [f"C{i:02d}" for i in range(12)]
@@ -38,10 +50,10 @@ def mixed_corpus():
         for _ in range(600):
             src, dst = rng.choice(12, size=2, replace=False)
             code = f"{rng.choice(['11', '12', '27'])}{rng.integers(0, 100):02d}"
-            records.append(TradeRecord(year, countries[src], countries[dst],
-                                       code, float(rng.lognormal(3.0, 3.0))))
-    records.append(TradeRecord(2000, "C00", "C01", "1", 7.0))
-    records.append(TradeRecord(2000, "C02", "C02", "1100", 3.0))
+            records.append(Row(year, countries[src], countries[dst],
+                               code, float(rng.lognormal(3.0, 3.0))))
+    records.append(Row(2000, "C00", "C01", "1", 7.0))
+    records.append(Row(2000, "C02", "C02", "1100", 3.0))
     return records
 
 
@@ -73,10 +85,10 @@ class TestBatch:
     def test_rows_equal_analyze_product(self):
         records = mixed_corpus()
         year_records = [r for r in records if r.year == 2000]
-        outcome = batch(records, 2000, 2, min_countries=3)
+        outcome = batch(trades(records), 2000, 2, min_countries=3)
         assert [r.product for r in outcome.results] == ["11", "12", "27"]
         for row in outcome.results + [outcome.integrated]:
-            net = build_network(year_records, row.product, 2000, 2)
+            net = build_network(trades(year_records), row.product, 2000, 2)
             assert row == summarize_network(net)
 
     @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
@@ -84,20 +96,20 @@ class TestBatch:
         records = mixed_corpus()
         shuffled = list(records)
         random.Random(3).shuffle(shuffled)
-        assert (batch(shuffled, 2000, 2, min_countries=3)
-                == batch(records, 2000, 2, min_countries=3))
+        assert (batch(trades(shuffled), 2000, 2, min_countries=3)
+                == batch(trades(records), 2000, 2, min_countries=3))
         gdp = {f"C{i:02d}": 1000.0 * (i + 1) for i in range(12)}
-        table = complexity_table(records, 2000, 2, gdp=gdp)
-        other = complexity_table(shuffled, 2000, 2, gdp=gdp)
+        table = complexity_table(trades(records), 2000, 2, gdp=gdp)
+        other = complexity_table(trades(shuffled), 2000, 2, gdp=gdp)
         assert table.exports.tobytes() == other.exports.tobytes()
         assert prody_all(table) == prody_all(other)
 
     def test_one_self_loop_warning_per_batch(self):
         records = mixed_corpus()
-        for call in (lambda: batch(records, 2000, 2, min_countries=3),
-                     lambda: build_network([r for r in records if r.year == 2000],
+        for call in (lambda: batch(trades(records), 2000, 2, min_countries=3),
+                     lambda: build_network(trades([r for r in records if r.year == 2000]),
                                            ALL, 2000, 2),
-                     lambda: complexity_table(records, 2000, 2)):
+                     lambda: complexity_table(trades(records), 2000, 2)):
             with warnings.catch_warnings(record=True) as caught:
                 warnings.simplefilter("always")
                 call()
@@ -113,9 +125,25 @@ class TestBatch:
     def test_warnings_point_at_the_caller(self, call):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            call(mixed_corpus())
+            call(trades(mixed_corpus()))
         flagged = [w for w in caught if issubclass(w.category, FlowDataWarning)]
         assert flagged and all(w.filename == __file__ for w in flagged)
+
+    @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
+    @pytest.mark.parametrize("digit_level", [1, 2, 4])
+    def test_other_years_rows_change_nothing(self, digit_level):
+        # 9100 and country Z99 occur only in 1999, code 1 only in 2000
+        records = mixed_corpus() + [Row(1999, "Z99", "C01", "9100", 2.0),
+                                    Row(1999, "C03", "C04", "9100", 4.0)]
+        both = trades(records)
+        alone = trades([r for r in records if r.year == 2000])
+        assert "9100" in both.products and "9100" not in alone.products
+        outcome = batch(both, 2000, digit_level, min_countries=3)
+        assert outcome == batch(alone, 2000, digit_level, min_countries=3)
+        assert not any(s.product.startswith("9") for s in outcome.skipped)
+        table, expected = (complexity_table(t, 2000, digit_level) for t in (both, alone))
+        assert (table.countries, table.products) == (expected.countries, expected.products)
+        assert table.exports.tobytes() == expected.exports.tobytes()
 
     def test_empty_year(self):
         with pytest.raises(EmptySelection):
@@ -167,19 +195,19 @@ def reference_row(records, product, year, digit_level, min_flow):
 
 
 RECORD = st.builds(
-    TradeRecord, st.sampled_from([1999, 2000]),
+    Row, st.sampled_from([1999, 2000]),
     st.sampled_from(["AAA", "BBB", "CCC", "DDD"]),
     st.sampled_from(["AAA", "BBB", "CCC", "DDD"]),
     st.sampled_from(["1", "11", "1100", "1109", "12", "1200", "2", "21", "2101"]),
     st.one_of(st.sampled_from([0.0, -0.0, 1e-300, 0.1, 0.7, 1.0, 1e16, 1e300]),
               st.floats(0.0, 1e12, allow_nan=False)))
 # Left-to-right addition rounds 1e16 + 1.0 + 1.0 to 1e16; fsum does not.
-ROUNDING_CELL = [TradeRecord(2000, "AAA", "BBB", "1100", v) for v in (1e16, 1.0, 1.0)] + [
-    TradeRecord(2000, "BBB", "CCC", "1109", 2.0), TradeRecord(2000, "CCC", "AAA", "1200", 3.0)]
+ROUNDING_CELL = [Row(2000, "AAA", "BBB", "1100", v) for v in (1e16, 1.0, 1.0)] + [
+    Row(2000, "BBB", "CCC", "1109", 2.0), Row(2000, "CCC", "AAA", "1200", 3.0)]
 # Three countries, but the impact of AAA underflows to 0, so the fit has two
 # positive pairs and batch skips the product with TooFewPoints.
-UNDERFLOW_IMPACT = [TradeRecord(2000, "BBB", "AAA", "1", 1e-300),
-                    TradeRecord(2000, "BBB", "CCC", "1", 1e300)]
+UNDERFLOW_IMPACT = [Row(2000, "BBB", "AAA", "1", 1e-300),
+                    Row(2000, "BBB", "CCC", "1", 1e300)]
 
 
 class TestAggregationOracle:
@@ -193,20 +221,21 @@ class TestAggregationOracle:
         year = 2000
         codes = sorted({r.product[:digit_level] for r in records
                         if r.year == year and len(r.product) >= digit_level})
+        rows = trades(records)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", FlowDataWarning)
             for product in codes + [ALL]:
-                assert (outcome(build_network, records, product, year, digit_level,
+                assert (outcome(build_network, rows, product, year, digit_level,
                                 min_flow)
                         == outcome(reference_network, records, product, year,
                                    digit_level, min_flow))
             if not codes and all(r.year != year for r in records):
                 with pytest.raises(EmptySelection):
-                    batch(records, year, digit_level, min_countries=3)
+                    batch(rows, year, digit_level, min_countries=3)
                 return
-            result = batch(records, year, digit_level, min_countries=3,
+            result = batch(rows, year, digit_level, min_countries=3,
                            min_flow=min_flow)
-            table = complexity_table(records, year, digit_level)
+            table = complexity_table(rows, year, digit_level)
 
         rows = {r.product: r for r in result.results}
         if result.integrated is not None:
@@ -233,11 +262,11 @@ class TestAggregationOracle:
         lambda records: complexity_table(records, 2000, 2),
     ], ids=["batch", "complexity_table"])
     def test_non_finite_cell_raises(self, values, aggregate):
-        records = [TradeRecord(2000, "AAA", "BBB", "1100", v) for v in values]
-        records += [TradeRecord(2000, "BBB", "CCC", "1100", 5.0),
-                    TradeRecord(2000, "CCC", "AAA", "1200", 3.0)]
+        records = [Row(2000, "AAA", "BBB", "1100", v) for v in values]
+        records += [Row(2000, "BBB", "CCC", "1100", 5.0),
+                    Row(2000, "CCC", "AAA", "1200", 3.0)]
         with pytest.raises(ValueError, match="exceeds the float range"):
-            aggregate(records)
+            aggregate(trades(records))
 
 
 SUMMARY_FIELDS = ("eta", "stderr", "r2", "gini", "dominance")
@@ -263,17 +292,17 @@ class TestBatchMetamorphic:
         records = mixed_corpus()
         countries = sorted({r.exporter for r in records} | {r.importer for r in records})
         label = {c: f"R{len(countries) - k:03d}" for k, c in enumerate(countries)}
-        relabelled = [replace(r, exporter=label[r.exporter], importer=label[r.importer])
+        relabelled = [r._replace(exporter=label[r.exporter], importer=label[r.importer])
                       for r in records]
-        assert_same_rows(batch(relabelled, 2000, digit_level, min_countries=3),
-                         batch(records, 2000, digit_level, min_countries=3))
+        assert_same_rows(batch(trades(relabelled), 2000, digit_level, min_countries=3),
+                         batch(trades(records), 2000, digit_level, min_countries=3))
 
     @pytest.mark.parametrize("factor", [1000.0, 2.0 ** 10])
     def test_values_scaled(self, digit_level, factor):
         records = mixed_corpus()
-        scaled = [replace(r, value=r.value * factor) for r in records]
-        assert_same_rows(batch(scaled, 2000, digit_level, min_countries=3),
-                         batch(records, 2000, digit_level, min_countries=3))
+        scaled = [r._replace(value=r.value * factor) for r in records]
+        assert_same_rows(batch(trades(scaled), 2000, digit_level, min_countries=3),
+                         batch(trades(records), 2000, digit_level, min_countries=3))
 
 
 class TestHistogram:
@@ -313,15 +342,15 @@ class TestHistogram:
 
 class TestTimeseries:
     def test_two_years(self):
-        records = corpus(1999) + corpus(2000)
-        series = timeseries(records, 1, min_countries=3)
+        series = timeseries(TradeTable.concat([corpus(1999), corpus(2000)]), 1,
+                            min_countries=3)
         assert set(series) == {"1", "2"}
         assert set(series["1"]) == {1999, 2000}
         assert all(v is not None for v in series["1"].values())
 
     def test_gap_for_missing_year(self):
-        records = corpus(2000) + to_records(random_flow(12, density=0.5, seed=4),
-                                            "5", 1999)
+        records = TradeTable.concat([
+            corpus(2000), to_table(random_flow(12, density=0.5, seed=4), "5", 1999)])
         series = timeseries(records, 1, min_countries=3)
         assert series["5"][1999] is not None
         assert series["5"][2000] is None
@@ -333,17 +362,16 @@ class TestTimeseries:
 
     @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
     def test_equals_per_year_batch(self, monkeypatch):
-        records = corpus(1998) + corpus(1999) + mixed_corpus()
+        records = TradeTable.concat([corpus(1998), corpus(1999), trades(mixed_corpus())])
         years = (1998, 1999, 2000)
         expected = {yr: {r.product: r.eta
                          for r in batch(records, yr, 1, min_countries=3).results}
                     for yr in years}
         handed = []
 
-        def counting_batch(year_records, *args, **kwargs):
-            year_records = list(year_records)
-            handed.append(len(year_records))
-            return batch(year_records, *args, **kwargs)
+        def counting_batch(table, year, *args, **kwargs):
+            handed.append((len(table), year))
+            return batch(table, year, *args, **kwargs)
 
         monkeypatch.setattr("flowallometry.pipeline.batch", counting_batch)
         series = timeseries(records, 1, min_countries=3)
@@ -351,8 +379,8 @@ class TestTimeseries:
         codes = sorted({code for fits in expected.values() for code in fits})
         assert series == {code: {yr: expected[yr].get(code) for yr in years}
                           for code in codes}
-        # each year's batch sees only that year's records
-        assert sum(handed) == len(records)
+        # one batch per year, each over the whole table
+        assert handed == [(len(records), yr) for yr in years]
 
 
 class TestCorrelate:

@@ -4,7 +4,7 @@ import pytest
 from flowallometry import (BadSpec, SynthSpec, analyze, chain, generate,
                            parse_trades, random_flow, random_tree, star,
                            tree_allometry, write_trades)
-from flowallometry.synth import to_records
+from flowallometry.synth import to_table
 
 
 class TestDeterministicKinds:
@@ -67,12 +67,13 @@ class TestSpecValidation:
 
 class TestRecordsRoundTrip:
     def test_star_emits_canonical_rows(self):
-        records = to_records(star(5, 2.0), product="3", year=1995)
-        assert len(records) == 4
-        assert {r.exporter for r in records} == {"N0000"}
-        assert all(r.product == "3" and r.year == 1995 for r in records)
+        table = to_table(star(5, 2.0), product="3", year=1995)
+        assert len(table) == 4
+        assert {table.countries[e] for e in table.exporter} == {"N0000"}
+        assert table.products == ("3",) and set(table.year.tolist()) == {1995}
+        assert table.value.tolist() == [2.0] * 4
 
     def test_round_trip_through_csv(self):
         net = random_flow(12, density=0.5, seed=3)
-        records = to_records(net, product="42")
-        assert parse_trades(write_trades(records)) == records
+        table = to_table(net, product="42")
+        assert parse_trades(write_trades(table)) == table
