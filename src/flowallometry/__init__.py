@@ -9,9 +9,9 @@ weighted sophistication) across products.
 
 from .allometry import AllometryFit, classify, fit, tree_allometry
 from .backbone import Backbone, extract
-from .errors import (AllZero, BadSpec, DegenerateFit, DuplicateCountry,
-                     EmptySelection, FlowAnalysisError, FlowDataWarning,
-                     NegativeFlow, NoExports, NoMarket, NotATree, ParseError,
+from .errors import (AllZero, BadSpec, DegenerateFit, EmptySelection,
+                     FlowAnalysisError, FlowDataWarning, NegativeFlow,
+                     NoExports, NoMarket, NotATree, ParseError,
                      SingularNetwork, TooFewPoints, ZeroVariance)
 from .flowcalc import (FlowAnalysis, analyze, coefficients, fundamental,
                        impact_by_extraction, impacts_closed_form, sources,
@@ -32,12 +32,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ALL", "AllometryFit", "AllZero", "BadSpec", "Backbone", "BatchResult",
-    "ComplexityTable", "CountryAttribute", "DegenerateFit", "DuplicateCountry",
-    "EmptySelection", "FlowAnalysis", "FlowAnalysisError", "FlowDataWarning",
-    "FlowNetwork", "Histogram", "InequalityReport", "NegativeFlow",
-    "NoExports", "NoMarket", "NotATree", "ParseError", "ProductResult",
-    "SingularNetwork", "SkippedProduct", "SynthSpec", "TooFewPoints",
-    "TradeTable", "ZeroVariance",
+    "ComplexityTable", "CountryAttribute", "DegenerateFit", "EmptySelection",
+    "FlowAnalysis", "FlowAnalysisError", "FlowDataWarning", "FlowNetwork",
+    "Histogram", "InequalityReport", "NegativeFlow", "NoExports", "NoMarket",
+    "NotATree", "ParseError", "ProductResult", "SingularNetwork",
+    "SkippedProduct", "SynthSpec", "TooFewPoints", "TradeTable", "ZeroVariance",
     "analyze", "batch", "build_network", "chain",
     "classify", "coefficients", "complexity_table", "correlate_complexity",
     "country_id", "dominance_share", "enumerate_products", "extract", "fit",

@@ -19,10 +19,6 @@ class ParseError(FlowAnalysisError):
         self.reason = reason
 
 
-class DuplicateCountry(FlowAnalysisError):
-    """An attribute file lists the same country more than once."""
-
-
 class NegativeFlow(FlowAnalysisError):
     """A trade value or flux entry is negative."""
 

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .errors import DuplicateCountry, ParseError
+from .errors import ParseError
 from .netcore import TradeTable, country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
@@ -146,7 +146,7 @@ def parse_attributes(source, kind: str | None = None) -> list[CountryAttribute]:
         except ValueError as exc:
             raise ParseError(row, "country", str(exc)) from None
         if country in seen:
-            raise DuplicateCountry(f"row {row}: duplicate country {country}")
+            raise ParseError(row, "country", f"duplicate country {country}")
         seen.add(country)
         value = _nonnegative_value(row, value_s)
         if kind == "gdp" and value <= 0:

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllZero, NoExports, NoMarket, TooFewPoints, ZeroVariance
-from .netcore import (TradeTable, _cells, _positions, _warn_self_loops, _warn_short,
-                      _year_rows)
+from .netcore import TradeTable, _cells, _positions, _select
 
 
 @dataclass(frozen=True)
@@ -199,12 +198,9 @@ def complexity_table(table: TradeTable, year: int, digit_level: int,
     matrix is independent of row order.  When ``gdp`` is given it must
     cover every exporting country.
     """
-    groups, group, exporter, importer, loop, value = _year_rows(table, year, digit_level)
+    groups, group, exporter, _, value = _select(table, year, digit_level)
     coded = group >= 0
-    _warn_short(group, digit_level)
-    _warn_self_loops(value[coded & loop])
-    take = coded & ~loop
-    (exporter, group), totals = _cells([exporter[take], group[take]], value[take])
+    (exporter, group), totals = _cells([exporter[coded], group[coded]], value[coded])
     country_ids, (row,) = _positions(len(table.countries), exporter)
     product_ids, (column,) = _positions(len(groups), group)
     exports = np.zeros((len(country_ids), len(product_ids)))

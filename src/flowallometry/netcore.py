@@ -162,7 +162,12 @@ class FlowNetwork:
 class TradeTable:
     """Bilateral trade rows as columns, in row order.  ``exporter`` and
     ``importer`` are ids into the sorted roster ``countries``, ``product``
-    ids into the sorted roster ``products``; ``len()`` is the row count."""
+    ids into the sorted roster ``products``; ``len()`` is the row count.
+
+    Every value is finite and nonnegative: construction raises ValueError
+    or NegativeFlow naming the first row that is not.  The columns are then
+    marked read-only, so a table cannot change under later analyses.
+    """
 
     countries: tuple[str, ...]
     products: tuple[str, ...]
@@ -171,6 +176,19 @@ class TradeTable:
     importer: np.ndarray
     product: np.ndarray      # product id per row
     value: np.ndarray        # float64
+
+    def __post_init__(self):
+        bad = np.flatnonzero(~(np.isfinite(self.value) & (self.value >= 0)))
+        if bad.size:
+            k = bad[0]
+            value = self.value[k].item()
+            kind, error = (("negative", NegativeFlow) if math.isfinite(value)
+                           else ("non-finite", ValueError))
+            src, dst = self.countries[self.exporter[k]], self.countries[self.importer[k]]
+            raise error(f"{kind} trade value {value} "
+                        f"({src}->{dst}, {self.products[self.product[k]]})")
+        for column in (self.year, self.exporter, self.importer, self.product, self.value):
+            column.flags.writeable = False
 
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> TradeTable:
@@ -220,26 +238,6 @@ def enumerate_products(table: TradeTable, digit_level: int) -> list[str]:
     groups, position = _product_groups(table.products, digit_level)
     _warn_short(position[table.product], digit_level)
     return groups
-
-
-def _year_rows(table: TradeTable, year: int, digit_level: int):
-    """The sorted product codes of ``year`` truncated to ``digit_level``,
-    and per row of that year its position among them (-1 for a shorter
-    code), exporter and importer ids, self-loop mask and value.  Raises
-    NegativeFlow on a negative value in any year, naming the first such row."""
-    negative = np.flatnonzero(table.value < 0)
-    if negative.size:
-        k = negative[0]
-        src, dst = table.countries[table.exporter[k]], table.countries[table.importer[k]]
-        raise NegativeFlow(f"negative trade value {table.value[k].item()} "
-                           f"({src}->{dst}, {table.products[table.product[k]]})")
-    keep = table.year == year
-    exporter, importer, product, value = (column[keep] for column in (
-        table.exporter, table.importer, table.product, table.value))
-    # Grouped over the year's own codes, so another year's code is no product.
-    ids, (product,) = _positions(len(table.products), product)
-    groups, position = _product_groups([table.products[i] for i in ids.tolist()], digit_level)
-    return groups, position[product], exporter, importer, exporter == importer, value
 
 
 def _cells(keys: Sequence[np.ndarray], values: np.ndarray) -> tuple[tuple[np.ndarray, ...], np.ndarray]:
@@ -305,20 +303,56 @@ def _warn_short(group: np.ndarray, digit_level: int, stacklevel: int = 3) -> Non
     """Warn about the rows whose code is shorter than the digit level
     (group id -1).  ``stacklevel`` counts frames from here, as in
     ``warnings.warn``: the default 3 points at the call site of this
-    function's caller; add one per private frame in between."""
+    function's caller."""
     count = int(np.count_nonzero(group < 0))
     if count:
         warnings.warn(f"excluded {count} record(s) with codes shorter than "
                       f"{digit_level} digits", FlowDataWarning, stacklevel=stacklevel)
 
 
-def _warn_self_loops(values: np.ndarray, stacklevel: int = 3) -> None:
+def _warn_self_loops(values: np.ndarray) -> None:
     """Warn about dropped self-loops, with their values summed in row
-    order; ``stacklevel`` as in ``_warn_short``."""
+    order, at the call site of the function that called ``_select``."""
     if len(values):
         total = reduce(add, values.tolist(), 0.0)
         warnings.warn(f"dropped {len(values)} self-loop record(s) worth {total}",
-                      FlowDataWarning, stacklevel=stacklevel)
+                      FlowDataWarning, stacklevel=4)
+
+
+def _select(table: TradeTable, year: int, digit_level: int, product: str | None = None):
+    """The one record selection of every analysis: the sorted product codes
+    of ``year`` truncated to ``digit_level``, and the rows of that year a
+    request draws on, without self-loops, as (position among those codes,
+    -1 for a shorter code; exporter id; importer id; value) columns.
+
+    ``product`` is a code of that digit level, ``ALL`` (every row), or None
+    (every row, for callers that group by product).  A code or ``ALL``
+    matching no row raises EmptySelection.  Warns about the self-loops among
+    the rows drawn on and, unless the request is ``ALL``, about the year's
+    codes shorter than the digit level.
+    """
+    keep = table.year == year
+    exporter, importer, code, value = (column[keep] for column in (
+        table.exporter, table.importer, table.product, table.value))
+    # Grouped over the year's own codes, so another year's code is no product.
+    ids, (code,) = _positions(len(table.products), code)
+    groups, position = _product_groups([table.products[i] for i in ids.tolist()], digit_level)
+    group = position[code]
+    if product is None or product == ALL:
+        drawn = np.ones(len(value), dtype=bool)
+    elif product in groups:
+        drawn = group == groups.index(product)
+    else:
+        drawn = np.zeros(len(value), dtype=bool)
+    if product is not None and not drawn.any():
+        raise EmptySelection(
+            f"no record matches product={product!r} year={year} at {digit_level} digits")
+    if product != ALL:
+        _warn_short(group, digit_level, stacklevel=4)
+    loop = exporter == importer
+    _warn_self_loops(value[drawn & loop])
+    take = drawn & ~loop
+    return groups, group[take], exporter[take], importer[take], value[take]
 
 
 def build_network(table: TradeTable, product: str, year: int, digit_level: int,
@@ -335,8 +369,7 @@ def build_network(table: TradeTable, product: str, year: int, digit_level: int,
     post-aggregation filter, off by default) are removed before nodes with
     zero total flow are stripped.  Node order is lexicographic.
 
-    Raises EmptySelection when nothing matches and NegativeFlow on any
-    negative value.
+    Raises EmptySelection when nothing matches.
     """
     _check_digit_level(digit_level)
     if product != ALL:
@@ -345,20 +378,6 @@ def build_network(table: TradeTable, product: str, year: int, digit_level: int,
             raise ValueError(
                 f"product {product!r} does not have digit level {digit_level}")
 
-    groups, group, exporter, importer, loop, value = _year_rows(table, year, digit_level)
-    if product == ALL:
-        matched = np.ones(len(value), dtype=bool)
-    elif product in groups:
-        matched = group == groups.index(product)
-    else:
-        matched = np.zeros(len(value), dtype=bool)
-    if not matched.any():
-        raise EmptySelection(
-            f"no record matches product={product!r} year={year} at {digit_level} digits")
-    if product != ALL:
-        _warn_short(group, digit_level)
-    _warn_self_loops(value[matched & loop])
-
-    take = matched & ~loop
-    (src, dst), totals = _cells([exporter[take], importer[take]], value[take])
+    _, _, exporter, importer, value = _select(table, year, digit_level, product)
+    (src, dst), totals = _cells([exporter, importer], value)
     return _network(table.countries, src, dst, totals, product, year, min_flow)

@@ -16,8 +16,7 @@ import numpy as np
 from . import allometry, flowcalc, metrics
 from .errors import (DegenerateFit, EmptySelection, SingularNetwork,
                      TooFewPoints)
-from .netcore import (ALL, TradeTable, _cells, _network, _warn_self_loops,
-                      _warn_short, _year_rows)
+from .netcore import ALL, TradeTable, _cells, _network, _select
 # Unused here, but importable as pipeline.build_network and
 # pipeline.enumerate_products: the names perfbench/spans.py wraps.
 from .netcore import build_network, enumerate_products  # noqa: F401
@@ -70,30 +69,6 @@ def _summary(net, analysis: flowcalc.FlowAnalysis) -> ProductResult:
                          net.n, report.topk)
 
 
-def _year_cells(table: TradeTable, year: int, digit_level: int):
-    """The country roster, and the (exporter, importer, total) cells of each
-    product of ``year`` at ``digit_level`` and then of ``ALL``: the
-    products' come from one sort, sliced per product, and those of ``ALL``,
-    which keep codes shorter than the digit level, from a second.  The
-    year's columns are freed on return, before any network is analyzed."""
-    groups, group, exporter, importer, loop, value = _year_rows(table, year, digit_level)
-    if not len(value):
-        raise EmptySelection(f"no records for year {year}")
-    _warn_short(group, digit_level, stacklevel=4)
-    _warn_self_loops(value[loop], stacklevel=4)
-
-    flows = ~loop
-    take = flows & (group >= 0)
-    (code, src, dst), totals = _cells([group[take], exporter[take], importer[take]],
-                                      value[take])
-    bounds = np.searchsorted(code, np.arange(len(groups) + 1)).tolist()
-    jobs = [(code, src[lo:hi], dst[lo:hi], totals[lo:hi])
-            for code, (lo, hi) in zip(groups, pairwise(bounds))]
-    (src, dst), totals = _cells([exporter[flows], importer[flows]], value[flows])
-    jobs.append((ALL, src, dst, totals))
-    return table.countries, jobs
-
-
 def batch(table: TradeTable, year: int, digit_level: int,
           min_countries: int = 10, min_flow: float = 0.0) -> BatchResult:
     """Analyze every product at ``digit_level`` for one year, plus the
@@ -102,18 +77,32 @@ def batch(table: TradeTable, year: int, digit_level: int,
     Products with fewer retained countries than ``min_countries`` or failing
     with a singular balance / degenerate fit land in the skip list with the
     reason.  Codes shorter than the digit level and self-loops are each
-    reported once, in one counted warning for the year.
+    reported once, in one counted warning for the year.  The products' cells
+    come from one sort, sliced per product, and those of ``ALL``, which keep
+    codes shorter than the digit level, from a second.
     """
     if min_countries < 3:
         raise ValueError(f"min_countries must be at least 3, got {min_countries}")
-    countries, jobs = _year_cells(table, year, digit_level)
+    groups, group, exporter, importer, value = _select(table, year, digit_level)
+    # A year of only self-loops still gives its skip list.
+    if not len(value) and not (table.year == year).any():
+        raise EmptySelection(f"no records for year {year}")
+    coded = group >= 0
+    (code, src, dst), totals = _cells([group[coded], exporter[coded], importer[coded]],
+                                      value[coded])
+    bounds = np.searchsorted(code, np.arange(len(groups) + 1)).tolist()
+    jobs = [(code, src[lo:hi], dst[lo:hi], totals[lo:hi])
+            for code, (lo, hi) in zip(groups, pairwise(bounds))]
+    (src, dst), totals = _cells([exporter, importer], value)
+    jobs.append((ALL, src, dst, totals))
+    del group, exporter, importer, value, coded     # the year's rows, before analysis
 
     results = []
     integrated = None
     skipped = []
     for code, src, dst, totals in jobs:
         try:
-            net = _network(countries, src, dst, totals, code, year, min_flow)
+            net = _network(table.countries, src, dst, totals, code, year, min_flow)
             if net.n < min_countries:
                 raise TooFewPoints(f"{net.n} countries < {min_countries}")
             result = summarize_network(net)

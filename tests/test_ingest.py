@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from flowallometry import (CountryAttribute, DuplicateCountry, FlowAnalysisError,
-                           FlowDataWarning, ParseError, TradeTable, enumerate_products,
+from flowallometry import (CountryAttribute, FlowAnalysisError, FlowDataWarning,
+                           ParseError, TradeTable, enumerate_products,
                            parse_attributes, parse_exclusions,
                            parse_product_column, parse_trades, write_trades)
 
@@ -128,8 +128,9 @@ class TestParseAttributes:
             CountryAttribute("USA", 36000.0)]
 
     def test_duplicate_country(self):
-        with pytest.raises(DuplicateCountry):
+        with pytest.raises(ParseError) as err:
             parse_attributes("country,value\nUSA,1\nUSA,2\n")
+        assert err.value.row == 2 and err.value.column == "country"
 
     def test_empty_file_with_header(self):
         assert parse_attributes("country,value\n") == []

@@ -7,7 +7,8 @@ from hypothesis import strategies as st
 
 from flowallometry import (ALL, EmptySelection, FlowDataWarning, FlowNetwork,
                            NegativeFlow, TradeTable, build_network,
-                           country_id, product_code)
+                           country_id, parse_trades, product_code)
+from flowallometry.synth import to_table
 
 
 class TestIdentifiers:
@@ -90,6 +91,50 @@ class TestFlowNetwork:
                 FlowNetwork.from_edges([("AAA", "BBB", 1e308), ("AAA", "BBB", 1e308)])
 
 
+class TestTradeTable:
+    # The bad row is in 1999; an analysis of 2000 never selects it.
+    ROWS = [(2000, "USA", "JPN", "7100", 2.0),
+            (1999, "MEX", "CAN", "7101", 1.0),
+            (2000, "JPN", "USA", "7100", 3.0)]
+
+    @staticmethod
+    def bare(rows):
+        years, exporters, importers, codes, values = zip(*rows)
+        countries, products = ("CAN", "JPN", "MEX", "USA"), ("7100", "7101")
+        return TradeTable(countries, products, np.array(years),
+                          np.array([countries.index(c) for c in exporters]),
+                          np.array([countries.index(c) for c in importers]),
+                          np.array([products.index(c) for c in codes]),
+                          np.array(values, dtype=float))
+
+    @pytest.mark.parametrize("value, error", [
+        (float("nan"), ValueError), (float("inf"), ValueError),
+        (float("-inf"), ValueError), (-1.0, NegativeFlow),
+    ], ids=["nan", "inf", "-inf", "negative"])
+    @pytest.mark.parametrize("build", [TradeTable.from_rows, bare],
+                             ids=["from_rows", "constructor"])
+    def test_rejects_bad_value_in_any_year(self, build, value, error):
+        rows = list(self.ROWS)
+        rows[1] = rows[1][:4] + (value,)
+        with pytest.raises(error, match=r"trade value .* \(MEX->CAN, 7101\)$"):
+            build(rows)
+
+    @pytest.mark.parametrize("make", [
+        lambda rows: parse_trades("year,exporter,importer,product,value\n" + "".join(
+            f"{y},{e},{i},{p},{v}\n" for y, e, i, p, v in rows)),
+        TradeTable.from_rows,
+        lambda rows: TradeTable.concat([TradeTable.from_rows(rows[:1]),
+                                        TradeTable.from_rows(rows[1:])]),
+        lambda rows: to_table(FlowNetwork.from_edges([r[1:3] + r[4:] for r in rows])),
+    ], ids=["parse_trades", "from_rows", "concat", "to_table"])
+    def test_columns_are_read_only(self, make):
+        table = make(self.ROWS)
+        with pytest.raises(ValueError, match="read-only"):
+            table.value[0] = -5.0
+        assert not any(getattr(table, name).flags.writeable
+                       for name in ("year", "exporter", "importer", "product", "value"))
+
+
 class TestBuildNetwork:
     def test_sums_matching_records(self):
         rows = [(2000, "USA", "JPN", "7100", 2.0),
@@ -116,8 +161,9 @@ class TestBuildNetwork:
 
     def test_negative_value_rejected(self):
         rows = [(2000, "USA", "JPN", "7100", -1.0)]
-        with pytest.raises(NegativeFlow):
-            build_network(TradeTable.from_rows(rows), "71", 2000, 2)
+        # The table refuses the row, so no network is built from it.
+        with pytest.raises(NegativeFlow, match=r"negative trade value -1.0 \(USA->JPN, 7100\)"):
+            TradeTable.from_rows(rows)
 
     def test_nodes_sorted_unique(self):
         rows = [(2000, "ZMB", "AUT", "11", 1.0),
