@@ -4,7 +4,10 @@ matrix, and node impacts.
 Throughflow is the larger of a node's total inflow and outflow.  The source
 vector is throughflow minus inflow, i.e. the flow originating at the node.
 Row-normalizing the flux by throughflow gives the coefficient matrix M, and
-U = (I - M)^-1 accumulates direct and indirect flow paths.  A node's impact
+U = (I - M)^-1 accumulates direct and indirect flow paths; U comes from one
+LAPACK gesv through ``np.linalg.inv``.  A ``FlowAnalysis`` stores U as its
+only n x n array: M is one division away, so it is derived from the
+network's flux on each access instead of being stored.  A node's impact
 is the total system-wide throughflow lost when the node is hypothetically
 extracted; it is computed either in closed form from U or by actually
 zeroing the node's inbound coefficients and source and re-solving.
@@ -33,13 +36,23 @@ class FlowAnalysis:
 
     throughflow: np.ndarray   # per-node throughflow, dollars
     source: np.ndarray        # per-node source flow, dollars
-    coefficients: np.ndarray  # row-normalized flow shares, rows sum to <= 1
     fundamental: np.ndarray   # (I - coefficients)^-1, dimensionless
     impact: np.ndarray        # per-node extraction impact, dollars
+    flux: np.ndarray          # the network's read-only flux, shared, not copied
+    damping: float            # the shrink factor analyze applied to M
 
     @property
     def n(self) -> int:
         return len(self.throughflow)
+
+    @property
+    def coefficients(self) -> np.ndarray:
+        """Row-normalized flow shares, rows sum to <= 1, as inverted.
+
+        Recomputed on each access, so an analysis keeps one n x n array;
+        the bits equal those ``analyze`` inverted.
+        """
+        return _frozen(_shares(self.flux, self.throughflow, self.damping))
 
 
 def throughflow(net: FlowNetwork) -> np.ndarray:
@@ -54,13 +67,20 @@ def sources(net: FlowNetwork, thru: np.ndarray) -> np.ndarray:
 
 def coefficients(net: FlowNetwork, thru: np.ndarray) -> np.ndarray:
     """Flow coefficient matrix: flux rows divided by the node's throughflow."""
-    return net.flux / thru[:, None]
+    return _shares(net.flux, thru, 0.0)
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """Pivoted dense solve of ``matrix @ x = rhs``; SingularNetwork if singular."""
+def _shares(flux: np.ndarray, thru: np.ndarray, damping: float) -> np.ndarray:
+    """M = flux / T row-wise, then shrunk by (1 - damping) when damped."""
+    coeff = flux / thru[:, None]
+    return (1.0 - damping) * coeff if damping else coeff
+
+
+def _solve(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
+    """Pivoted dense solve of ``matrix @ x = rhs``, or the inverse of
+    ``matrix`` when ``rhs`` is None; SingularNetwork if singular."""
     try:
-        return np.linalg.solve(matrix, rhs)
+        return np.linalg.inv(matrix) if rhs is None else np.linalg.solve(matrix, rhs)
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(f"flow balance is singular: {exc}") from exc
 
@@ -74,13 +94,17 @@ def _check_condition(cond: float) -> None:
 def fundamental(coeff: np.ndarray) -> np.ndarray:
     """Fundamental matrix U = (I - M)^-1 via a pivoted dense solve.
 
+    ``np.linalg.inv`` runs one LAPACK gesv against an identity right-hand
+    side it builds itself, so U has the bits of ``solve(I - M, I)`` without
+    a second n x n argument.  ``analyze`` keeps U as the analysis's only
+    n x n array.
+
     Raises SingularNetwork when I - M is singular or its 1-norm condition
     number exceeds ``COND_LIMIT``; that happens exactly when the network
     contains a closed circulation whose every node is throughflow-saturated.
     """
-    n = coeff.shape[0]
-    matrix = np.eye(n) - coeff
-    fund = _solve(matrix, np.eye(n))
+    matrix = np.eye(coeff.shape[0]) - coeff
+    fund = _solve(matrix)
     # Equals np.linalg.cond(matrix, 1), which would invert matrix a second time.
     _check_condition(float(np.linalg.norm(matrix, 1))
                      * float(np.linalg.norm(fund, 1)))
@@ -123,22 +147,21 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
 def analyze(net: FlowNetwork, damping: float = 0.0) -> FlowAnalysis:
     """Full flow analysis of one network; impacts come from the closed form.
 
-    A nonzero ``damping`` shrinks the stored coefficient matrix by
-    (1 - damping) before inversion; that trades the exact flow balance for
-    solvability on saturated circulations, so leave it 0 unless analyze has
-    already raised SingularNetwork.
+    A nonzero ``damping`` shrinks the coefficient matrix by (1 - damping)
+    before inversion, and ``coefficients`` reads back the shrunk one; that
+    trades the exact flow balance for solvability on saturated circulations,
+    so leave it 0 unless analyze has already raised SingularNetwork.
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
-    thru = throughflow(net)
-    src = sources(net, thru)
-    coeff = coefficients(net, thru)
-    if damping:
-        coeff = (1.0 - damping) * coeff
-    fund = fundamental(coeff)
+    # throughflow() and sources() would each sum the inflow.
+    inflow = net.flux.sum(axis=0)
+    thru = np.maximum(inflow, net.flux.sum(axis=1))
+    src = thru - inflow
+    fund = fundamental(_shares(net.flux, thru, damping))
     impact = impacts_closed_form(src, fund)
-    return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(coeff),
-                        _frozen(fund), _frozen(impact))
+    return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(fund),
+                        _frozen(impact), net.flux, damping)
 
 
 def throughflow_residual(thru: np.ndarray, src: np.ndarray,

@@ -101,6 +101,8 @@ def inequality_report(countries: Sequence[str], impact, k: int = 10) -> Inequali
     Ties in impact rank lexicographically by country for determinism.
     """
     x = np.asarray(impact, dtype=float)
+    if x.shape != (len(countries),):
+        raise ValueError("countries and impact vectors differ in length")
     values = x.tolist()
     order = sorted(range(len(countries)), key=lambda i: (-values[i], countries[i]))
     top = tuple((countries[i], values[i]) for i in order[:k])

@@ -1,4 +1,5 @@
 import re
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -66,7 +67,8 @@ class TestFundamentalEdgeCases:
         thru = throughflow(net)
         coeff = coefficients(net, thru)
         assert np.array_equal(coeff, [[0, 1], [1, 0]])
-        with pytest.raises(SingularNetwork):
+        with pytest.raises(SingularNetwork,
+                           match="^flow balance is singular: Singular matrix$"):
             fundamental(coeff)
 
     def test_damping_regularizes_on_request(self):
@@ -105,6 +107,51 @@ class TestFundamentalEdgeCases:
         with pytest.raises(SingularNetwork):
             impact_by_extraction(net, net.nodes.index("CCC"))
         assert impact_by_extraction(net, net.nodes.index("AAA")) == 10.0
+
+
+def stored_cases(three_node_net):
+    """The worked example plus seeded random networks, cyclic and acyclic."""
+    rng = np.random.default_rng(31)
+    return [three_node_net] + [random_net(rng, back=back)
+                               for back in (0.0, 0.1, 0.3) for _ in range(4)]
+
+
+class TestStoredArrays:
+    """An analysis owns U alone; M is derived, with the bits analyze inverted."""
+
+    @pytest.mark.parametrize("damping", [0.0, 0.25])
+    def test_coefficients_bitwise_equal_module_function(self, three_node_net, damping):
+        for net in stored_cases(three_node_net):
+            expected = coefficients(net, throughflow(net))
+            if damping:
+                expected = (1 - damping) * expected
+            got = analyze(net, damping=damping).coefficients
+            assert got.dtype == expected.dtype
+            assert got.tobytes() == expected.tobytes()
+            assert not got.flags.writeable
+
+    @pytest.mark.parametrize("damping", [0.0, 0.25])
+    def test_fundamental_is_the_only_owned_matrix(self, three_node_net, damping):
+        for net in stored_cases(three_node_net):
+            result = analyze(net, damping=damping)
+            matrices = {f.name: getattr(result, f.name) for f in fields(result)
+                        if np.ndim(getattr(result, f.name)) == 2}
+            owned = [name for name, array in matrices.items()
+                     if not np.shares_memory(array, net.flux)]
+            assert owned == ["fundamental"]
+            assert np.shares_memory(result.flux, net.flux)
+            assert result.n == net.n
+
+    @pytest.mark.parametrize("damping", [0.0, 0.25])
+    def test_fundamental_bitwise_equal_solve_with_identity(self, three_node_net, damping):
+        for net in stored_cases(three_node_net):
+            coeff = coefficients(net, throughflow(net))
+            if damping:
+                coeff = (1 - damping) * coeff
+            identity = np.eye(net.n)
+            expected = np.linalg.solve(identity - coeff, identity)
+            assert fundamental(coeff).tobytes() == expected.tobytes()
+            assert analyze(net, damping=damping).fundamental.tobytes() == expected.tobytes()
 
 
 class TestOracleEquivalence:

@@ -86,6 +86,11 @@ class TestInequalityReport:
         assert report.topk == (("DDD", 9.0), ("BBB", 5.0), ("AAA", 2.0))
         assert report.dominance == pytest.approx(9.0 / 18.0)
 
+    @pytest.mark.parametrize("impact", [[1.0, 2.0, 3.0], [1.0]])
+    def test_length_mismatch_rejected(self, impact):
+        with pytest.raises(ValueError, match="differ in length"):
+            inequality_report(["AAA", "BBB"], impact)
+
 
 def toy_table(gdp=None):
     return ComplexityTable(("C1", "C2"), ("P1", "P2"),

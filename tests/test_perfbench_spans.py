@@ -38,3 +38,17 @@ def test_tracer_counts_table_rows_and_restores_names():
     assert tracer.total("netcore.build_network", "records_in") == 3
     assert fa.parse_trades is fa.ingest.parse_trades
     assert fa.pipeline.build_network is fa.netcore.build_network
+
+
+def test_batch_traces_one_analysis_and_one_network_per_analysed_network():
+    # The benchmark's per-layer counts read these two names; a fast path
+    # around either would leave them reading zero.
+    table = fa.parse_trades(Path(__file__).parent / "data" / "corpus_four_products.csv")
+    with spans.Tracer() as tracer:
+        outcome = fa.batch(table, 2000, 1, min_countries=3)
+        tracer.end_phase("round")
+    assert not outcome.skipped and outcome.integrated is not None
+    analysed = len(outcome.results) + 1
+    assert analysed == 5
+    assert tracer.total("flowcalc.analyze", "calls") == analysed
+    assert tracer.total("netcore.FlowNetwork", "calls") == analysed
