@@ -112,8 +112,10 @@ def _parse_years(text: str | None) -> list[int] | None:
     for part in text.split(","):
         part = part.strip()
         if "-" in part[1:]:
-            lo, hi = part.split("-", 1)
-            years.extend(range(int(lo), int(hi) + 1))
+            lo, hi = map(int, part.split("-", 1))
+            if lo > hi:
+                raise ValueError(f"empty year range {part!r}: {lo} is after {hi}")
+            years.extend(range(lo, hi + 1))
         else:
             years.append(int(part))
     return years
@@ -180,7 +182,9 @@ def cmd_batch(args) -> str:
 
 def cmd_timeseries(args) -> str:
     trades = _read_trades(args.input)
-    all_years = _parse_years(args.years) or sorted(set(trades.year.tolist()))
+    all_years = _parse_years(args.years)
+    if all_years is None:
+        all_years = sorted(set(trades.year.tolist()))
     series = pipeline.timeseries(trades, args.digits, years=all_years,
                                  min_countries=args.min_countries,
                                  min_flow=args.min_flow)

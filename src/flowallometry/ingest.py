@@ -17,12 +17,15 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
 from .errors import ParseError
 from .netcore import TradeTable, country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
 ATTRIBUTES_HEADER = ("country", "value")
 COLUMN_HEADER = ("product", "value")
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -36,15 +39,18 @@ class CountryAttribute:
 def _text(source) -> str:
     """The text of a source: a ``Path`` names a file to read; a str or bytes
     is the content itself; anything else is a file-like object yielding str
-    or bytes.  ParseError if the bytes are not UTF-8."""
+    or bytes.  One leading byte-order mark is dropped.  ParseError if the
+    bytes are not UTF-8."""
     try:
         if isinstance(source, Path):
-            return source.read_text(encoding="utf-8")
-        if not isinstance(source, (str, bytes)):
-            source = source.read()
-        return source.decode("utf-8") if isinstance(source, bytes) else source
+            text = source.read_text(encoding="utf-8")
+        else:
+            if not isinstance(source, (str, bytes)):
+                source = source.read()
+            text = source.decode("utf-8") if isinstance(source, bytes) else source
     except UnicodeDecodeError as exc:
         raise ParseError(0, None, f"not UTF-8: {exc}") from None
+    return text.removeprefix("\ufeff")
 
 
 def _rows(source, expected_header):
@@ -104,14 +110,149 @@ def _checked(cache: dict, check, raw: str, row: int, column: str) -> str:
 
 def parse_trades(source) -> TradeTable:
     """Parse the canonical trades CSV into a table, aborting on the first
-    bad field.  Each distinct code is checked once, at its first row."""
+    bad field.
+
+    Plain text is read a block of lines at a time.  Other text, and text
+    with a bad field, is read row by row through ``csv.reader``, which
+    names the row and column of the first bad field.  Both readers give
+    the same table.
+    """
+    text = _text(source)
+    table = _read_blocks(text)
+    return _read_rows(text) if table is None else table
+
+
+#: Characters of text per block of ``_read_blocks``: about 1,800 rows of
+#: the benchmark corpus.  Half the default CSV field size limit, so that a
+#: block shorter than the limit needs no check of its field lengths.
+_BLOCK = 1 << 16
+
+
+class _Memo(dict):
+    """``check(key.strip())`` of each distinct key, made at its first lookup."""
+
+    def __init__(self, check):
+        super().__init__()
+        self.check = check
+
+    def __missing__(self, key):
+        self[key] = value = self.check(key.strip())
+        return value
+
+
+def _read_blocks(text: str) -> TradeTable | None:
+    """The table of ``text`` read as blocks of lines, or None for text this
+    reader does not take.
+
+    It takes text whose lines all split on ``,`` as ``csv.reader`` splits
+    them: no ``"``, carriage return or NUL, and no field as long as the
+    CSV size limit.  Each data line must have five fields, and each field
+    must pass the checks ``_read_rows`` makes.  Every distinct year, country
+    and product string is checked once and given a provisional id; after
+    the last block one remap puts the ids onto the sorted rosters.
+    """
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    limit = csv.field_size_limit()
+    country_ids: dict[str, int] = {}  # code -> provisional id
+    product_ids: dict[str, int] = {}
+    country = _Memo(lambda raw: country_ids.setdefault(country_id(raw), len(country_ids)))
+    memos = (_Memo(int), country, country,
+             _Memo(lambda raw: product_ids.setdefault(product_code(raw), len(product_ids))))
+    size = text.count("\n") + 1      # at least the number of data lines
+    columns = tuple(np.empty(size, dtype)
+                    for dtype in (np.int64, np.intp, np.intp, np.intp, float))
+    header, rows = None, 0
+    try:
+        for block in _blocks(text):
+            fields = _fields(block)
+            if fields is None or (len(block) >= limit
+                                  and max(map(len, fields), default=0) >= limit):
+                return None
+            if header is None and fields:
+                header, fields = tuple(f.strip() for f in fields[:5]), fields[6:]
+                if header != TRADES_HEADER:
+                    return None
+            n = (len(fields) + 1) // 6
+            value = np.fromiter(map(float, map(str.strip, fields[4::6])), float, n)
+            if not (np.isfinite(value).all() and (value >= 0).all()):
+                return None
+            columns[4][rows:rows + n] = value
+            for k, (column, memo) in enumerate(zip(columns, memos)):
+                column[rows:rows + n] = np.fromiter(map(memo.__getitem__, fields[k::6]),
+                                                    column.dtype, n)
+            rows += n
+    except (ValueError, OverflowError):      # a bad field, or a year past int64
+        return None
+    if header is None:
+        return None
+    year, exporter, importer, product, value = (column[:rows] for column in columns)
+    del columns       # so that each remap frees the provisional ids it replaces
+    countries, remap = _roster(country_ids)
+    exporter, importer = remap[exporter], remap[importer]
+    products, remap = _roster(product_ids)
+    return TradeTable(countries, products, year, exporter, importer, remap[product], value)
+
+
+def _blocks(text: str):
+    """``text`` in blocks of whole lines of about ``_BLOCK`` characters,
+    without the newline that ends each block."""
+    start, stop = 0, len(text) - text.endswith("\n")
+    while start < stop:
+        end = text.find("\n", start + _BLOCK, stop)
+        if end < 0:
+            end = stop
+        yield text[start:end]
+        start = end + 1
+
+
+def _fields(block: str) -> list[str] | None:
+    """The fields of the lines of ``block`` that are neither blank nor
+    ``#`` comments, six to a line: the five fields, then ``"\\n"``.  None
+    if such a line has another number of fields."""
+    if "#" not in block:
+        fields = _split(block)
+        if fields is not None:
+            return fields
+    return _split("\n".join(line for line in block.split("\n")
+                             if line.strip() and not line.lstrip().startswith("#")))
+
+
+def _split(lines: str) -> list[str] | None:
+    """The fields of ``lines`` as ``_fields`` gives them, or None if a line
+    (a blank one too) does not have exactly five."""
+    if not lines:
+        return []
+    breaks = lines.count("\n")
+    # Each newline becomes a field of its own, so a line of five fields
+    # puts the newline after it at a multiple of six, less one.
+    fields = lines.replace("\n", ",\n,").split(",")
+    if len(fields) != 6 * breaks + 5 or fields[5::6].count("\n") != breaks:
+        return None
+    return fields
+
+
+def _roster(ids: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
+    """The sorted codes of ``ids`` (code -> provisional id, numbered in
+    insertion order), and the array taking each provisional id to the
+    code's position in that roster."""
+    roster = sorted(ids)
+    position = {code: i for i, code in enumerate(roster)}
+    return tuple(roster), np.array([position[code] for code in ids], dtype=np.intp)
+
+
+def _read_rows(text: str) -> TradeTable:
+    """The table of ``text`` read row by row through ``csv.reader``;
+    ParseError at the first bad field."""
     rows = []
     countries, products = {}, {}     # field -> its checked code
-    for row, (year_s, exporter, importer, product, value_s) in _rows(source, TRADES_HEADER):
+    for row, (year_s, exporter, importer, product, value_s) in _rows(text, TRADES_HEADER):
         try:
             year = int(year_s)
         except ValueError:
             raise ParseError(row, "year", f"not an integer: {year_s!r}") from None
+        if not _INT64_MIN <= year <= _INT64_MAX:
+            raise ParseError(row, "year", f"out of range: {year_s!r}")
         rows.append((
             year,
             countries.get(exporter) or _checked(countries, country_id, exporter, row, "exporter"),

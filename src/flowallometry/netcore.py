@@ -12,7 +12,7 @@ import math
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
-from functools import reduce
+from functools import lru_cache, reduce
 from itertools import accumulate, pairwise
 from operator import add
 
@@ -36,6 +36,13 @@ def country_id(raw: str) -> str:
     if "," in code or '"' in code:
         raise ValueError(f"country code contains a comma or a double quote: {raw!r}")
     return code
+
+
+@lru_cache(maxsize=1 << 12, typed=True)
+def _node_id(raw: str) -> str:
+    """``country_id(raw)``, kept for the next network over the same names;
+    a failed check is not kept, so it raises again."""
+    return country_id(raw)
 
 
 def product_code(raw: str) -> str:
@@ -92,7 +99,7 @@ class FlowNetwork:
     def __init__(self, nodes: Sequence[str], flux, product: str, year: int):
         # From a list: a tuple built from a generator grows by reallocation,
         # which fragments the heap over a batch of hundreds of networks.
-        nodes = tuple([country_id(c) for c in nodes])
+        nodes = tuple([_node_id(c) for c in nodes])
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate nodes")
         matrix = np.array(flux, dtype=float)

@@ -261,6 +261,13 @@ class TestExitCodes:
                       "--year", "2000", "--product", "11", "--digits", "2")
         assert code == 2
 
+    @pytest.mark.parametrize("years", ["2001-2000", "2000--1990", "1999,2001-2000"])
+    def test_reversed_year_range_is_one(self, tmp_path, capsys, years):
+        code, text = run(tmp_path, "timeseries", "--input", CORPUS4, "--digits", "1",
+                         "--years", years)
+        assert code == 1 and text is None
+        assert "empty year range" in capsys.readouterr().err
+
     def test_bad_flag_is_one(self, tmp_path, capsys):
         assert main(["analyze", "--nope"]) == 1
         capsys.readouterr()

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from flowallometry import netcore
 from flowallometry import (ALL, EmptySelection, FlowDataWarning, FlowNetwork,
                            NegativeFlow, TradeTable, build_network,
                            country_id, parse_trades, product_code)
@@ -66,6 +67,22 @@ class TestFlowNetwork:
     def test_rejects_negative_flux(self):
         with pytest.raises(NegativeFlow):
             FlowNetwork(["AAA", "BBB"], [[0, -1], [0, 0]], "1", 2000)
+
+    def test_names_checked_once_per_distinct_name(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(netcore, "country_id",
+                            lambda raw: calls.append(raw) or country_id(raw))
+        netcore._node_id.cache_clear()
+        for _ in range(3):
+            net = FlowNetwork(["aaa", "BBB"], [[0, 1], [0, 0]], "1", 2000)
+            for bad in ("A A", ""):        # a failed check is made again
+                with pytest.raises(ValueError) as err:
+                    FlowNetwork(["AAA", bad], [[0, 1], [0, 0]], "1", 2000)
+                with pytest.raises(ValueError) as expected:
+                    country_id(bad)
+                assert str(err.value) == str(expected.value)
+        assert net.nodes == ("AAA", "BBB")
+        assert sorted(calls) == ["", "", "", "A A", "A A", "A A", "AAA", "BBB", "aaa"]
 
     def test_all_zero_is_empty(self):
         with pytest.raises(EmptySelection):
