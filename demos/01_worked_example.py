@@ -47,6 +47,5 @@ print(f"dominance share of the largest node: {report.dominance:.4f}")
 print("ranking:", report.topk)
 
 # The flow balance T = M^T T + S holds to machine precision.
-residual = fa.throughflow_residual(result.throughflow, result.source,
-                                   result.coefficients)
+residual = fa.throughflow_residual(result)
 print(f"\nflow-balance residual: {residual:.2e}")

@@ -31,19 +31,17 @@ table = fa.ComplexityTable(
     exports=np.array([[5.0, 5.0], [0.0, 10.0]]),
     gdp_percap=np.array([9000.0, 36000.0]),
 )
-for c in table.countries:
-    for p in table.products:
-        try:
-            print(f"rca({c}, {p}) = {fa.rca(table, c, p):.4f}")
-        except fa.FlowAnalysisError as err:
-            print(f"rca({c}, {p}): {type(err).__name__}: {err}")
+columns = {p: fa.rca_column(table, p) for p in table.products}
+for i, c in enumerate(table.countries):
+    for p, column in columns.items():
+        print(f"rca({c}, {p}) = {column[i]:.4f}")
 print("columns sum to one:",
-      [round(float(fa.rca_column(table, p).sum()), 12) for p in table.products])
+      [round(float(column.sum()), 12) for column in columns.values()])
 
 # Sophistication weights each exporter's GDP per capita by its advantage,
 # so P2 lands between the two GDPs, two-thirds of the way toward C2's.
-for p in table.products:
-    print(f"prody({p}) = {fa.prody(table, p):,.0f}")
+for p, value in fa.prody_all(table).items():
+    print(f"prody({p}) = {value:,.0f}")
 
 # Correlating exponents against a complexity column (here: fabricated).
 etas = {"05": 1.01, "27": 1.03, "65": 1.09, "71": 1.12, "84": 1.08}

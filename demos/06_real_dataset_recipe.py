@@ -45,9 +45,7 @@ def run(trades_path, gdp_path=None):
     worst = 0.0
     for row in outcome.results:
         net = fa.build_network(trades, row.product, year, 1)
-        result = fa.analyze(net)
-        worst = max(worst, fa.throughflow_residual(
-            result.throughflow, result.source, result.coefficients))
+        worst = max(worst, fa.throughflow_residual(fa.analyze(net)))
     print(f"\nworst flow-balance residual across products: {worst:.2e}")
 
     if gdp_path:

@@ -11,16 +11,15 @@ from .allometry import AllometryFit, classify, fit, tree_allometry
 from .backbone import Backbone, extract
 from .errors import (AllZero, BadSpec, DegenerateFit, EmptySelection,
                      FlowAnalysisError, FlowDataWarning, NegativeFlow,
-                     NoExports, NoMarket, NotATree, ParseError,
-                     SingularNetwork, TooFewPoints, ZeroVariance)
-from .flowcalc import (FlowAnalysis, analyze, coefficients, fundamental,
-                       impact_by_extraction, impacts_closed_form, sources,
-                       throughflow, throughflow_residual)
+                     NoMarket, NotATree, ParseError, SingularNetwork,
+                     TooFewPoints, ZeroVariance)
+from .flowcalc import (FlowAnalysis, analyze, impact_by_extraction,
+                       throughflow_residual)
 from .ingest import (CountryAttribute, parse_attributes, parse_exclusions,
                      parse_product_column, parse_trades, write_trades)
 from .metrics import (ComplexityTable, InequalityReport, complexity_table,
                       dominance_share, gini, inequality_report, pearson,
-                      prody, prody_all, rca, rca_column)
+                      prody_all, rca_column)
 from .netcore import (ALL, FlowNetwork, TradeTable, build_network, country_id,
                       enumerate_products, product_code)
 from .pipeline import (BatchResult, Histogram, ProductResult, SkippedProduct,
@@ -31,19 +30,18 @@ from .synth import SynthSpec, chain, generate, random_flow, random_tree, star
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL", "AllometryFit", "AllZero", "BadSpec", "Backbone", "BatchResult",
+    "ALL", "AllZero", "AllometryFit", "Backbone", "BadSpec", "BatchResult",
     "ComplexityTable", "CountryAttribute", "DegenerateFit", "EmptySelection",
     "FlowAnalysis", "FlowAnalysisError", "FlowDataWarning", "FlowNetwork",
-    "Histogram", "InequalityReport", "NegativeFlow", "NoExports", "NoMarket",
-    "NotATree", "ParseError", "ProductResult", "SingularNetwork",
-    "SkippedProduct", "SynthSpec", "TooFewPoints", "TradeTable", "ZeroVariance",
-    "analyze", "batch", "build_network", "chain",
-    "classify", "coefficients", "complexity_table", "correlate_complexity",
-    "country_id", "dominance_share", "enumerate_products", "extract", "fit",
-    "fundamental", "generate", "gini", "histogram", "impact_by_extraction",
-    "impacts_closed_form", "inequality_report", "parse_attributes",
+    "Histogram", "InequalityReport", "NegativeFlow", "NoMarket", "NotATree",
+    "ParseError", "ProductResult", "SingularNetwork", "SkippedProduct",
+    "SynthSpec", "TooFewPoints", "TradeTable", "ZeroVariance", "analyze",
+    "batch", "build_network", "chain", "classify", "complexity_table",
+    "correlate_complexity", "country_id", "dominance_share",
+    "enumerate_products", "extract", "fit", "generate", "gini", "histogram",
+    "impact_by_extraction", "inequality_report", "parse_attributes",
     "parse_exclusions", "parse_product_column", "parse_trades", "pearson",
-    "prody", "prody_all", "product_code", "random_flow", "random_tree", "rca",
-    "rca_column", "sources", "star", "summarize_network", "throughflow",
-    "throughflow_residual", "timeseries", "tree_allometry", "write_trades",
+    "product_code", "prody_all", "random_flow", "random_tree", "rca_column",
+    "star", "summarize_network", "throughflow_residual", "timeseries",
+    "tree_allometry", "write_trades",
 ]

@@ -118,7 +118,7 @@ def _parse_years(text: str | None) -> list[int] | None:
             years.extend(range(lo, hi + 1))
         else:
             years.append(int(part))
-    return years
+    return list(dict.fromkeys(years))     # each year once, first occurrence first
 
 
 def _result_json(result: pipeline.ProductResult) -> dict:
@@ -144,7 +144,7 @@ def cmd_analyze(args) -> str:
     net = build_network(_read_trades(args.input), args.product, args.year,
                         args.digits, min_flow=args.min_flow)
     analysis = flowcalc.analyze(net)
-    doc = _result_json(pipeline._summary(net, analysis))
+    doc = _result_json(pipeline.summarize_network(net, analysis))
     doc["nodes"] = [{
         "country": code,
         "throughflow": float(analysis.throughflow[i]),

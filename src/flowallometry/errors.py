@@ -49,10 +49,6 @@ class AllZero(FlowAnalysisError):
     """Every value in the vector is zero."""
 
 
-class NoExports(FlowAnalysisError):
-    """The country exports nothing; its comparative advantage is undefined."""
-
-
 class NoMarket(FlowAnalysisError):
     """No country exports the product; the share denominator is zero."""
 

@@ -55,19 +55,12 @@ class FlowAnalysis:
         return _frozen(_shares(self.flux, self.throughflow, self.damping))
 
 
-def throughflow(net: FlowNetwork) -> np.ndarray:
-    """Per-node throughflow: max of total inflow and total outflow."""
-    return np.maximum(net.flux.sum(axis=0), net.flux.sum(axis=1))
-
-
-def sources(net: FlowNetwork, thru: np.ndarray) -> np.ndarray:
-    """Source vector: throughflow minus inflow.  Nonnegative by construction."""
-    return thru - net.flux.sum(axis=0)
-
-
-def coefficients(net: FlowNetwork, thru: np.ndarray) -> np.ndarray:
-    """Flow coefficient matrix: flux rows divided by the node's throughflow."""
-    return _shares(net.flux, thru, 0.0)
+def _balance(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Throughflow, the larger of inflow and outflow, and source, throughflow
+    minus inflow (nonnegative by construction); the inflow is summed once."""
+    inflow = flux.sum(axis=0)
+    thru = np.maximum(inflow, flux.sum(axis=1))
+    return thru, thru - inflow
 
 
 def _shares(flux: np.ndarray, thru: np.ndarray, damping: float) -> np.ndarray:
@@ -91,7 +84,7 @@ def _check_condition(cond: float) -> None:
             f"flow balance nearly singular (condition estimate {cond:.3e})")
 
 
-def fundamental(coeff: np.ndarray) -> np.ndarray:
+def _fundamental(coeff: np.ndarray) -> np.ndarray:
     """Fundamental matrix U = (I - M)^-1 via a pivoted dense solve.
 
     ``np.linalg.inv`` runs one LAPACK gesv against an identity right-hand
@@ -111,18 +104,6 @@ def fundamental(coeff: np.ndarray) -> np.ndarray:
     return fund
 
 
-def impacts_closed_form(source: np.ndarray, fund: np.ndarray) -> np.ndarray:
-    """All node impacts from the fundamental matrix in O(N^2).
-
-    impact_i = (sum_j source_j * u_ji) * (sum_k u_ik) / u_ii, evaluated after
-    precomputing the column-weighted source vector and the row sums of U.
-    """
-    diag = np.diagonal(fund)
-    if np.any(diag <= 0):
-        raise SingularNetwork("fundamental matrix has a nonpositive diagonal")
-    return (source @ fund) * fund.sum(axis=1) / diag
-
-
 def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     """Impact of node ``i`` by brute-force hypothetical extraction.
 
@@ -131,21 +112,20 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     returns the total reduction.  This path never touches the fundamental
     matrix, so it serves as an independent oracle for the closed form.
     """
-    thru = throughflow(net)
-    src = sources(net, thru)
-    coeff = coefficients(net, thru)
-    reduced_coeff = coeff.copy()
-    reduced_coeff[:, i] = 0.0
-    reduced_src = src.copy()
-    reduced_src[i] = 0.0
-    matrix = np.eye(net.n) - reduced_coeff.T
-    reduced_thru = _solve(matrix, reduced_src)
+    thru, src = _balance(net.flux)
+    coeff = _shares(net.flux, thru, 0.0)
+    coeff[:, i] = 0.0
+    src[i] = 0.0
+    matrix = np.eye(net.n) - coeff.T
+    reduced_thru = _solve(matrix, src)
     _check_condition(np.linalg.cond(matrix, 1))
     return float((thru - reduced_thru).sum())
 
 
 def analyze(net: FlowNetwork, damping: float = 0.0) -> FlowAnalysis:
-    """Full flow analysis of one network; impacts come from the closed form.
+    """Full flow analysis of one network; impacts come from the closed form
+    impact_i = (sum_j S_j u_ji) * (sum_k u_ik) / u_ii, in O(N^2) from the
+    column-weighted source vector and the row sums of U.
 
     A nonzero ``damping`` shrinks the coefficient matrix by (1 - damping)
     before inversion, and ``coefficients`` reads back the shrunk one; that
@@ -154,20 +134,20 @@ def analyze(net: FlowNetwork, damping: float = 0.0) -> FlowAnalysis:
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
-    # throughflow() and sources() would each sum the inflow.
-    inflow = net.flux.sum(axis=0)
-    thru = np.maximum(inflow, net.flux.sum(axis=1))
-    src = thru - inflow
-    fund = fundamental(_shares(net.flux, thru, damping))
-    impact = impacts_closed_form(src, fund)
+    thru, src = _balance(net.flux)
+    fund = _fundamental(_shares(net.flux, thru, damping))
+    diag = np.diagonal(fund)
+    if np.any(diag <= 0):
+        raise SingularNetwork("fundamental matrix has a nonpositive diagonal")
+    impact = (src @ fund) * fund.sum(axis=1) / diag
     return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(fund),
                         _frozen(impact), net.flux, damping)
 
 
-def throughflow_residual(thru: np.ndarray, src: np.ndarray,
-                         coeff: np.ndarray) -> float:
+def throughflow_residual(analysis: FlowAnalysis) -> float:
     """Relative inf-norm residual of the flow balance T = M^T T + S."""
-    return float(np.abs(thru - (coeff.T @ thru + src)).max()
+    thru = analysis.throughflow
+    return float(np.abs(thru - (analysis.coefficients.T @ thru + analysis.source)).max()
                  / np.abs(thru).max())
 
 

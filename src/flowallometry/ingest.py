@@ -30,7 +30,7 @@ _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max
 
 @dataclass(frozen=True)
 class CountryAttribute:
-    """One per-country scalar (GDP per capita in dollars, or a ratio in [0,1])."""
+    """One per-country scalar, such as GDP per capita in dollars."""
 
     country: str
     value: float
@@ -276,9 +276,11 @@ def write_trades(table: TradeTable) -> str:
 def parse_attributes(source, kind: str | None = None) -> list[CountryAttribute]:
     """Parse a per-country attribute CSV (header ``country,value``).
 
-    ``kind`` enables range checks: ``"gdp"`` requires strictly positive values,
-    ``"ratio"`` requires values in [0, 1].  Duplicate countries are an error.
+    Values must be finite and nonnegative; ``kind="gdp"`` requires them
+    strictly positive.  Duplicate countries are an error.
     """
+    if kind not in (None, "gdp"):
+        raise ValueError(f"unknown attribute kind {kind!r}")
     seen: set[str] = set()
     out = []
     for row, (country, value_s) in _rows(source, ATTRIBUTES_HEADER):
@@ -292,8 +294,6 @@ def parse_attributes(source, kind: str | None = None) -> list[CountryAttribute]:
         value = _nonnegative_value(row, value_s)
         if kind == "gdp" and value <= 0:
             raise ParseError(row, "value", f"GDP per capita must be > 0: {value}")
-        if kind == "ratio" and not (0 <= value <= 1):
-            raise ParseError(row, "value", f"ratio must be in [0,1]: {value}")
         out.append(CountryAttribute(country, value))
     return out
 

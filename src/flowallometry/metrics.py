@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import AllZero, NoExports, NoMarket, TooFewPoints, ZeroVariance
+from .errors import AllZero, NoMarket, TooFewPoints, ZeroVariance
 from .netcore import TradeTable, _cells, _positions, _select
 
 
@@ -49,12 +49,6 @@ class ComplexityTable:
                 raise ValueError("gdp_percap must be finite and positive")
             gdp.flags.writeable = False
             object.__setattr__(self, "gdp_percap", gdp)
-
-    def country_index(self, code: str) -> int:
-        return self.countries.index(code)
-
-    def product_index(self, code: str) -> int:
-        return self.products.index(code)
 
 
 @dataclass(frozen=True)
@@ -109,31 +103,13 @@ def inequality_report(countries: Sequence[str], impact, k: int = 10) -> Inequali
     return InequalityReport(gini(x), dominance_share(x), top)
 
 
-def _share_matrix(table: ComplexityTable) -> tuple[np.ndarray, np.ndarray]:
+def _share_matrix(table: ComplexityTable) -> np.ndarray:
     """Per-country export-basket shares; countries exporting nothing get zero rows."""
     totals = table.exports.sum(axis=1)
     active = totals > 0
     shares = np.zeros_like(table.exports)
     shares[active] = table.exports[active] / totals[active, None]
-    return shares, active
-
-
-def rca(table: ComplexityTable, country: str, product: str) -> float:
-    """Share-normalized comparative advantage of one country on one product.
-
-    The country's basket share of the product divided by the sum of that
-    share over all exporting countries; for every marketed product the values
-    sum to 1 across countries.
-    """
-    c = table.country_index(country)
-    p = table.product_index(product)
-    shares, active = _share_matrix(table)
-    if not active[c]:
-        raise NoExports(f"{country} exports nothing")
-    denom = float(shares[:, p].sum())
-    if denom == 0.0:
-        raise NoMarket(f"no country exports product {product}")
-    return float(shares[c, p]) / denom
+    return shares
 
 
 def _rca_column(shares: np.ndarray, p: int, product: str) -> np.ndarray:
@@ -144,33 +120,28 @@ def _rca_column(shares: np.ndarray, p: int, product: str) -> np.ndarray:
 
 
 def rca_column(table: ComplexityTable, product: str) -> np.ndarray:
-    """Comparative advantage of every country on one product (zero rows for
-    countries that export nothing overall)."""
-    shares, _ = _share_matrix(table)
-    return _rca_column(shares, table.product_index(product), product)
+    """Share-normalized comparative advantage of every country on one product.
 
-
-def _prody(table: ComplexityTable, shares: np.ndarray, p: int) -> float:
-    if table.gdp_percap is None:
-        raise ValueError("table has no gdp_percap column")
-    return float(table.gdp_percap @ _rca_column(shares, p, table.products[p]))
-
-
-def prody(table: ComplexityTable, product: str) -> float:
-    """GDP-per-capita weighted average comparative advantage of a product.
-
-    A convex combination of the exporter GDPs, so the result always lies in
-    [min gdp, max gdp].
+    Each country's basket share of the product divided by the sum of that
+    share over all countries, so the column sums to 1; a country that
+    exports nothing overall gets 0.  NoMarket if no country exports the
+    product.
     """
-    shares, _ = _share_matrix(table)
-    return _prody(table, shares, table.product_index(product))
+    return _rca_column(_share_matrix(table), table.products.index(product), product)
 
 
 def prody_all(table: ComplexityTable) -> dict[str, float]:
-    """Sophistication value for every marketed product, keyed by code."""
-    shares, _ = _share_matrix(table)
+    """Sophistication of every marketed product, keyed by code: the
+    GDP-per-capita weighted average of its comparative advantage column.
+
+    A convex combination of the exporter GDPs, so each value lies in
+    [min gdp, max gdp].
+    """
+    if table.gdp_percap is None:
+        raise ValueError("table has no gdp_percap column")
+    shares = _share_matrix(table)
     marketed = table.exports.sum(axis=0) > 0
-    return {code: _prody(table, shares, p)
+    return {code: float(table.gdp_percap @ _rca_column(shares, p, code))
             for p, code in enumerate(table.products) if marketed[p]}
 
 

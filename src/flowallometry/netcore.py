@@ -26,13 +26,15 @@ ALL = "ALL"
 
 def country_id(raw: str) -> str:
     """Normalize a country identifier: uppercased, non-empty, with no
-    whitespace and no ``,`` or ``"``, which unquoted CSV and DOT output
-    cannot hold."""
+    whitespace, no unprintable character such as NUL, and no ``,`` or
+    ``"``, which unquoted CSV and DOT output cannot hold."""
     code = str(raw).upper()
     if not code:
         raise ValueError("empty country code")
     if code.split() != [code]:
         raise ValueError(f"country code contains whitespace: {raw!r}")
+    if not code.isprintable():
+        raise ValueError(f"country code contains an unprintable character: {raw!r}")
     if "," in code or '"' in code:
         raise ValueError(f"country code contains a comma or a double quote: {raw!r}")
     return code
@@ -68,6 +70,11 @@ def _intern(check: Callable[[str], str],
 def _check_digit_level(digits: int) -> None:
     if digits < 1 or digits > 4:
         raise ValueError(f"digit level must be in 1..4, got {digits}")
+
+
+def _check_min_flow(min_flow: float) -> None:
+    if not min_flow >= 0:
+        raise ValueError(f"min_flow must be >= 0, got {min_flow}")
 
 
 _NOT_FINITE = "aggregated trade value exceeds the float range"
@@ -373,12 +380,14 @@ def build_network(table: TradeTable, product: str, year: int, digit_level: int,
     warning; rows whose code is shorter than the digit level are excluded
     likewise.  Aggregation uses exactly-rounded summation, so the result is
     independent of row order.  Edges below ``min_flow`` (an optional
-    post-aggregation filter, off by default) are removed before nodes with
-    zero total flow are stripped.  Node order is lexicographic.
+    post-aggregation filter, off by default, ValueError unless >= 0) are
+    removed before nodes with zero total flow are stripped.  Node order is
+    lexicographic.
 
     Raises EmptySelection when nothing matches.
     """
     _check_digit_level(digit_level)
+    _check_min_flow(min_flow)
     if product != ALL:
         product = product_code(product)
         if len(product) != digit_level:

@@ -16,7 +16,8 @@ import numpy as np
 from . import allometry, flowcalc, metrics
 from .errors import (DegenerateFit, EmptySelection, SingularNetwork,
                      TooFewPoints)
-from .netcore import ALL, TradeTable, _cells, _network, _select
+from .netcore import (ALL, TradeTable, _cells, _check_min_flow, _network,
+                      _select)
 # Unused here, but importable as pipeline.build_network and
 # pipeline.enumerate_products: the names perfbench/spans.py wraps.
 from .netcore import build_network, enumerate_products  # noqa: F401
@@ -55,13 +56,8 @@ class BatchResult:
     skipped: list[SkippedProduct]
 
 
-def summarize_network(net) -> ProductResult:
-    """Analyze, fit, and summarize one already-built network."""
-    return _summary(net, flowcalc.analyze(net))
-
-
-def _summary(net, analysis: flowcalc.FlowAnalysis) -> ProductResult:
-    """Fit and summarize ``net`` from its flow ``analysis``."""
+def summarize_network(net, analysis: flowcalc.FlowAnalysis) -> ProductResult:
+    """Fit and summarize one already-built network from its flow ``analysis``."""
     fit = allometry.fit(analysis.throughflow, analysis.impact)
     report = metrics.inequality_report(net.nodes, analysis.impact)
     return ProductResult(net.product, net.year, fit.eta, fit.stderr, fit.r2,
@@ -83,6 +79,7 @@ def batch(table: TradeTable, year: int, digit_level: int,
     """
     if min_countries < 3:
         raise ValueError(f"min_countries must be at least 3, got {min_countries}")
+    _check_min_flow(min_flow)
     groups, group, exporter, importer, value = _select(table, year, digit_level)
     # A year of only self-loops still gives its skip list.
     if not len(value) and not (table.year == year).any():
@@ -105,7 +102,7 @@ def batch(table: TradeTable, year: int, digit_level: int,
             net = _network(table.countries, src, dst, totals, code, year, min_flow)
             if net.n < min_countries:
                 raise TooFewPoints(f"{net.n} countries < {min_countries}")
-            result = summarize_network(net)
+            result = summarize_network(net, flowcalc.analyze(net))
         except (TooFewPoints, DegenerateFit, SingularNetwork, EmptySelection) as exc:
             skipped.append(SkippedProduct(code, f"{type(exc).__name__}: {exc}"))
             continue
@@ -138,8 +135,8 @@ def histogram(results: Iterable[ProductResult], bin_width: float,
     rows = list(results)
     if not rows:
         raise ValueError("no results to bin")
-    if bin_width <= 0:
-        raise ValueError(f"bin width must be positive, got {bin_width}")
+    if not (np.isfinite(bin_width) and bin_width > 0):
+        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
     if stack_by not in (None, "prefix", "class"):
         raise ValueError(f"unknown stacking mode {stack_by!r}")
 

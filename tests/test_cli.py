@@ -268,6 +268,18 @@ class TestExitCodes:
         assert code == 1 and text is None
         assert "empty year range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--input", FIXTURE, "--year", "2000", "--product", "71",
+         "--digits", "2"),
+        ("batch", "--input", CORPUS, "--year", "2000", "--min-countries", "3"),
+    ], ids=["analyze", "batch"])
+    def test_negative_or_nan_min_flow_is_one(self, tmp_path, capsys, argv, value):
+        code, text = run(tmp_path, *argv, f"--min-flow={value}")
+        assert code == 1 and text is None
+        err = capsys.readouterr().err
+        assert err == f"flowallometry: error: min_flow must be >= 0, got {float(value)}\n"
+
     def test_bad_flag_is_one(self, tmp_path, capsys):
         assert main(["analyze", "--nope"]) == 1
         capsys.readouterr()
@@ -292,8 +304,11 @@ class TestExitCodes:
         b"2000,AAA,BBB,1,1e308\n2000,AAA,BBB,1,1e308\n",
         b'2000,"AAA,BBB",CCC,1,7\n',
         b'2000,AAA,"B""B",1,7\n',
+        b"2000,AAA,B\x00B,1,7\n",
+        b"2000,A\x7fA,BBB,1,7\n",
     ], ids=["oversized_field", "not_utf8", "superscript_code", "overflow",
-            "comma_in_country", "quote_in_country"])
+            "comma_in_country", "quote_in_country", "nul_in_country",
+            "delete_in_country"])
     def test_malformed_input_exits_without_traceback(self, tmp_path, capsys,
                                                      command, rows):
         trades = tmp_path / "bad.csv"
@@ -372,6 +387,27 @@ class TestOtherCommands:
         rows = [l.split(",") for l in text.splitlines()[1:] if not l.startswith("#")]
         gaps = [r for r in rows if r[0] == "22" and r[1] == "2000"]
         assert gaps and gaps[0][2] == ""
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    @pytest.mark.parametrize("years,once", [("2000,2000", "2000"),
+                                            ("1999-2000,2000", "1999-2000"),
+                                            ("2001,2000,2001", "2001,2000")])
+    def test_repeated_years_listed_once(self, tmp_path, fmt, years, once):
+        def series(spec):
+            code, text = run(tmp_path, "timeseries", "--input", CORPUS4,
+                             "--min-countries", "3", "--years", spec, "--format", fmt)
+            assert code == 0
+            return text
+
+        text = series(years)
+        assert text == series(once)
+        if fmt == "json":
+            doc = json.loads(text)
+            keys = [(s["product"], p["year"]) for s in doc["series"] for p in s["points"]]
+        else:
+            keys = [tuple(l.split(",")[:2]) for l in text.splitlines()[1:]
+                    if not l.startswith("#")]
+        assert keys and len(keys) == len(set(keys))
 
     def test_prody_json(self, tmp_path):
         gdp = tmp_path / "gdp.csv"

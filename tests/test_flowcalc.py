@@ -4,29 +4,32 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from flowallometry import (FlowNetwork, SingularNetwork, analyze, coefficients,
-                           fundamental, impact_by_extraction, sources,
-                           throughflow, throughflow_residual)
+from flowallometry import (FlowNetwork, SingularNetwork, analyze,
+                           impact_by_extraction, throughflow_residual)
+from flowallometry.flowcalc import _fundamental
 from conftest import random_net
+
+
+def balance(net):
+    """(T, S, M) of ``net`` from their definitions, independent of analyze."""
+    thru = np.maximum(net.flux.sum(axis=0), net.flux.sum(axis=1))
+    return thru, thru - net.flux.sum(axis=0), net.flux / thru[:, None]
 
 
 class TestWorkedExample:
     def test_throughflow(self, three_node_net):
-        assert throughflow(three_node_net).tolist() == [3.0, 2.0, 2.0]
+        assert analyze(three_node_net).throughflow.tolist() == [3.0, 2.0, 2.0]
 
     def test_sources(self, three_node_net):
-        thru = throughflow(three_node_net)
-        assert sources(three_node_net, thru).tolist() == [3.0, 0.0, 0.0]
+        assert analyze(three_node_net).source.tolist() == [3.0, 0.0, 0.0]
 
     def test_coefficients(self, three_node_net):
-        thru = throughflow(three_node_net)
-        coeff = coefficients(three_node_net, thru)
+        coeff = analyze(three_node_net).coefficients
         expected = np.array([[0, 2 / 3, 1 / 3], [0, 0, 1 / 2], [0, 0, 0]])
         assert np.array_equal(coeff, expected)
 
     def test_fundamental(self, three_node_net):
-        thru = throughflow(three_node_net)
-        fund = fundamental(coefficients(three_node_net, thru))
+        fund = analyze(three_node_net).fundamental
         expected = np.array([[1, 2 / 3, 2 / 3], [0, 1, 1 / 2], [0, 0, 1]])
         assert fund == pytest.approx(expected, rel=1e-14)
 
@@ -39,9 +42,7 @@ class TestWorkedExample:
         assert impacts == [7.0, 3.0, 2.0]
 
     def test_flow_balance_residual(self, three_node_net):
-        result = analyze(three_node_net)
-        assert throughflow_residual(result.throughflow, result.source,
-                                    result.coefficients) <= 1e-10
+        assert throughflow_residual(analyze(three_node_net)) <= 1e-10
 
 
 class TestSingleEdge:
@@ -55,21 +56,21 @@ class TestSingleEdge:
     def test_scaling_throughflow(self):
         net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("AAA", "CCC"): 2.0})
         scaled = FlowNetwork.from_edges({("AAA", "BBB"): 50.0, ("AAA", "CCC"): 20.0})
-        assert np.array_equal(throughflow(scaled), 10 * throughflow(net))
+        assert np.array_equal(analyze(scaled).throughflow,
+                              10 * analyze(net).throughflow)
 
 
 class TestFundamentalEdgeCases:
     def test_zero_coefficients_give_identity(self):
-        assert np.array_equal(fundamental(np.zeros((4, 4))), np.eye(4))
+        assert np.array_equal(_fundamental(np.zeros((4, 4))), np.eye(4))
 
     def test_saturated_two_cycle_is_singular(self):
         net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("BBB", "AAA"): 5.0})
-        thru = throughflow(net)
-        coeff = coefficients(net, thru)
-        assert np.array_equal(coeff, [[0, 1], [1, 0]])
+        assert np.array_equal(analyze(net, damping=0.5).coefficients,
+                              [[0, 0.5], [0.5, 0]])
         with pytest.raises(SingularNetwork,
                            match="^flow balance is singular: Singular matrix$"):
-            fundamental(coeff)
+            analyze(net)
 
     def test_damping_regularizes_on_request(self):
         net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("BBB", "AAA"): 5.0})
@@ -84,7 +85,7 @@ class TestFundamentalEdgeCases:
 
     def test_only_analyze_takes_damping(self, three_node_net):
         with pytest.raises(TypeError):
-            fundamental(np.zeros((2, 2)), damping=0.1)
+            _fundamental(np.zeros((2, 2)), damping=0.1)
         with pytest.raises(TypeError):
             impact_by_extraction(three_node_net, 0, damping=0.1)
 
@@ -92,11 +93,10 @@ class TestFundamentalEdgeCases:
         # a saturated 3-cycle fed by a 1e-11 leak: condition about 1.2e12
         net = FlowNetwork.from_edges({("AAA", "BBB"): 1.0, ("BBB", "CCC"): 1.0,
                                       ("CCC", "AAA"): 1.0, ("DDD", "AAA"): 1e-11})
-        coeff = coefficients(net, throughflow(net))
-        cond = np.linalg.cond(np.eye(net.n) - coeff, 1)
+        cond = np.linalg.cond(np.eye(net.n) - balance(net)[2], 1)
         assert cond > 1e12
         with pytest.raises(SingularNetwork, match=re.escape(f"estimate {cond:.3e}")):
-            fundamental(coeff)
+            analyze(net)
 
     def test_extraction_surfaces_surviving_saturated_cycle(self):
         # saturated cycle AAA<->BBB plus a separate component CCC->DDD:
@@ -120,9 +120,10 @@ class TestStoredArrays:
     """An analysis owns U alone; M is derived, with the bits analyze inverted."""
 
     @pytest.mark.parametrize("damping", [0.0, 0.25])
-    def test_coefficients_bitwise_equal_module_function(self, three_node_net, damping):
+    def test_coefficients_bitwise_equal_flux_over_throughflow(self, three_node_net,
+                                                              damping):
         for net in stored_cases(three_node_net):
-            expected = coefficients(net, throughflow(net))
+            expected = balance(net)[2]
             if damping:
                 expected = (1 - damping) * expected
             got = analyze(net, damping=damping).coefficients
@@ -145,12 +146,11 @@ class TestStoredArrays:
     @pytest.mark.parametrize("damping", [0.0, 0.25])
     def test_fundamental_bitwise_equal_solve_with_identity(self, three_node_net, damping):
         for net in stored_cases(three_node_net):
-            coeff = coefficients(net, throughflow(net))
+            coeff = balance(net)[2]
             if damping:
                 coeff = (1 - damping) * coeff
             identity = np.eye(net.n)
             expected = np.linalg.solve(identity - coeff, identity)
-            assert fundamental(coeff).tobytes() == expected.tobytes()
             assert analyze(net, damping=damping).fundamental.tobytes() == expected.tobytes()
 
 
@@ -169,8 +169,7 @@ class TestOracleEquivalence:
         for _ in range(40):
             net = random_net(rng, back=0.1)
             result = analyze(net)
-            assert throughflow_residual(result.throughflow, result.source,
-                                        result.coefficients) <= 1e-10
+            assert throughflow_residual(result) <= 1e-10
             assert np.all(result.source >= 0)
             assert np.all(result.coefficients.sum(axis=1) <= 1 + 1e-12)
             assert np.all(result.fundamental >= -1e-12)
@@ -180,9 +179,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(11)
         for _ in range(20):
             net = random_net(rng)
-            thru = throughflow(net)
-            src = sources(net, thru)
-            coeff = coefficients(net, thru)
+            thru, src, coeff = balance(net)
             for i in range(net.n):
                 reduced = coeff.copy()
                 reduced[:, i] = 0.0
@@ -212,9 +209,7 @@ class TestOracleEquivalence:
         rng = np.random.default_rng(99)
         for _ in range(10):
             net = random_net(rng, n=12, density=0.5)
-            thru = throughflow(net)
-            src = sources(net, thru)
-            coeff = coefficients(net, thru)
+            thru, src, coeff = balance(net)
             for i in range(net.n):
                 reduced = coeff.copy()
                 reduced[:, i] = 0.0

@@ -52,6 +52,12 @@ class TestParseTrades:
             parse_trades(HEADER + "2000,USA,JPN,7100,-5\n")
         assert err.value.row == 1 and err.value.column == "value"
 
+    @pytest.mark.parametrize("code", ["U\x00S", "U\x7fS"])
+    def test_unprintable_country_aborts(self, code):
+        with pytest.raises(ParseError, match="unprintable") as err:
+            parse_trades(HEADER + f"2000,USA,JPN,7100,5\n2000,JPN,{code},7100,5\n")
+        assert err.value.row == 2 and err.value.column == "importer"
+
     @pytest.mark.parametrize("code", ["\u00b2", "\u0661", "\u0660\u0661"])
     def test_non_ascii_digit_code_aborts(self, code):
         with pytest.raises(ParseError) as err:
@@ -163,9 +169,16 @@ class TestParseAttributes:
         assert parse_attributes("\ufeffcountry,value\nUSA,1\n") == [
             CountryAttribute("USA", 1.0)]
 
-    def test_ratio_must_be_in_unit_interval(self):
-        with pytest.raises(ParseError):
-            parse_attributes("country,value\nUSA,1.2\n", kind="ratio")
+    @pytest.mark.parametrize("kind", ["ratio", "GDP"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ValueError, match="unknown attribute kind"):
+            parse_attributes("country,value\nUSA,0.5\n", kind=kind)
+
+    @pytest.mark.parametrize("code", ["U\x00S", "U\x7fS"])
+    def test_unprintable_country_aborts(self, code):
+        with pytest.raises(ParseError, match="unprintable") as err:
+            parse_attributes(f"country,value\nJPN,1\n{code},2\n")
+        assert err.value.row == 2 and err.value.column == "country"
 
 
 class TestProductColumnAndExclusions:
@@ -245,8 +258,8 @@ def test_any_bytes_parse_or_raise_typed_error(parse, data):
 # size limit.
 YEARS = (["2000", "2001", " 2000", "+2000", "1_999", "\u0662\u0660\u0660\u0660", "02000",
           '"2000"'], ["9" * 20, "2OOO", ""])
-COUNTRIES = (["USA", "usa", " JPN\t", "\x0cJpn\x85", "DEU", "A#B", "\u00e9x", "U\x00S", '"BRA"'],
-             ["U SA", "", '"A,B"'])
+COUNTRIES = (["USA", "usa", " JPN\t", "\x0cJpn\x85", "DEU", "A#B", "\u00e9x", '"BRA"'],
+             ["U SA", "", '"A,B"', "U\x00S", "A\x7fB"])
 PRODUCTS = (["7100", "71", "0111", " 05 ", "7", '"0532"'], ["\u00b2", "71000", "7a", ""])
 VALUES = (["1500.0", " 5 ", "1_000", "-0.0", "0", "1e308", "5e-324", "0.1", "\u0661\u0665",
            "\u3000 7\x1c", "\x0b5\u2028", "9" * 30], ["inf", "nan", "-1", "0x10", ""])

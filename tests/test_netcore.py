@@ -16,7 +16,8 @@ class TestIdentifiers:
     def test_country_id_uppercases(self):
         assert country_id("usa") == "USA"
 
-    @pytest.mark.parametrize("bad", ["", "U SA", "US\t", "A\nB", "A,B", 'A"B'])
+    @pytest.mark.parametrize("bad", ["", "U SA", "US\t", "A\nB", "A,B", 'A"B',
+                                     "U\x00S", "A\x7f", "\u200bX"])
     def test_country_id_rejects(self, bad):
         with pytest.raises(ValueError):
             country_id(bad)
@@ -32,7 +33,7 @@ class TestIdentifiers:
             product_code(bad)
 
     @given(st.text(st.one_of(st.characters(), st.sampled_from(
-        " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000"))))
+        " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u3000\x00\x7f\u200b"))))
     def test_country_id_matches_per_character_whitespace_rule(self, raw):
         def reference(raw):
             code = str(raw).upper()
@@ -40,6 +41,8 @@ class TestIdentifiers:
                 raise ValueError("empty country code")
             if any(ch.isspace() for ch in code):
                 raise ValueError(f"country code contains whitespace: {raw!r}")
+            if not all(ch.isprintable() for ch in code):
+                raise ValueError(f"country code contains an unprintable character: {raw!r}")
             if any(ch in ',"' for ch in code):
                 raise ValueError(f"country code contains a comma or a double quote: {raw!r}")
             return code

@@ -13,8 +13,8 @@ from flowallometry import (ALL, DegenerateFit, EmptySelection, FlowDataWarning,
                            FlowNetwork, SingularNetwork, TooFewPoints,
                            TradeTable, batch, build_network, complexity_table,
                            correlate_complexity, enumerate_products, histogram,
-                           prody_all, random_flow, summarize_network,
-                           timeseries)
+                           analyze, prody_all, random_flow,
+                           summarize_network, timeseries)
 from flowallometry.pipeline import ProductResult
 from flowallometry.synth import to_table
 
@@ -97,7 +97,7 @@ class TestBatch:
         assert [r.product for r in outcome.results] == ["11", "12", "27"]
         for row in outcome.results + [outcome.integrated]:
             net = build_network(trades(year_records), row.product, 2000, 2)
-            assert row == summarize_network(net)
+            assert row == summarize_network(net, analyze(net))
 
     @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
     def test_record_order_is_bitwise_irrelevant(self):
@@ -181,6 +181,15 @@ class TestBatch:
         with pytest.raises(ValueError):
             batch(corpus(), 2000, 1, min_countries=2)
 
+    @pytest.mark.parametrize("min_flow", [-1.0, -1e-300, float("nan")])
+    def test_min_flow_must_be_nonnegative(self, min_flow):
+        with pytest.raises(ValueError, match="min_flow must be >= 0"):
+            batch(corpus(), 2000, 1, min_countries=3, min_flow=min_flow)
+        with pytest.raises(ValueError, match="min_flow must be >= 0"):
+            build_network(corpus(), ALL, 2000, 1, min_flow=min_flow)
+        with pytest.raises(ValueError, match="min_flow must be >= 0"):
+            timeseries(corpus(), 1, min_countries=3, min_flow=min_flow)
+
 
 def reference_cells(records, year, digit_level, key, product=None):
     """Dict of lists plus math.fsum: the aggregation rule, record by record."""
@@ -217,7 +226,7 @@ def reference_row(records, product, year, digit_level, min_flow):
         net = reference_network(records, product, year, digit_level, min_flow)
         if net.n < 3:
             return TooFewPoints
-        return summarize_network(net)
+        return summarize_network(net, analyze(net))
     except (EmptySelection, SingularNetwork, DegenerateFit, TooFewPoints) as exc:
         return type(exc)
 
@@ -281,7 +290,7 @@ class TestAggregationOracle:
         assert table.products == tuple(sorted({p for _, p in exports}))
         reference = np.zeros(table.exports.shape)
         for (c, p), total in exports.items():
-            reference[table.country_index(c), table.product_index(p)] = total
+            reference[table.countries.index(c), table.products.index(p)] = total
         assert table.exports.tobytes() == reference.tobytes()
 
     @pytest.mark.parametrize("values", [[1e308, 1e308]], ids=["overflow"])
@@ -358,6 +367,12 @@ class TestHistogram:
         hist = histogram(rows, 0.1, stack_by="class")
         assert sum(hist.stacks["primary"]) == 0
         assert sum(hist.stacks["manufactured"]) == sum(hist.counts) == 2
+
+    @pytest.mark.parametrize("width", [0.0, -0.1, float("nan"), float("inf"),
+                                       float("-inf")])
+    def test_bin_width_must_be_finite_and_positive(self, width):
+        with pytest.raises(ValueError, match="finite and positive"):
+            histogram([result_row("1", 1.0)], width)
 
     def test_stacks_sum_to_totals(self):
         rng = np.random.default_rng(8)
