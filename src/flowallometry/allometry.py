@@ -38,13 +38,16 @@ def fit(thru, impact) -> AllometryFit:
     """Ordinary least squares of log10(impact) on log10(throughflow).
 
     Pairs with a nonpositive member are excluded (flow analysis never
-    produces any, but user-supplied vectors may).  Raises TooFewPoints below
-    3 usable pairs and DegenerateFit when the regressor has zero variance.
+    produces any, but user-supplied vectors may).  Raises ValueError when
+    either vector holds a NaN or an infinity, TooFewPoints below 3 usable
+    pairs and DegenerateFit when the regressor has zero variance.
     """
     thru = np.asarray(thru, dtype=float)
     impact = np.asarray(impact, dtype=float)
     if thru.shape != impact.shape:
         raise ValueError("throughflow and impact vectors differ in length")
+    if not (np.isfinite(thru).all() and np.isfinite(impact).all()):
+        raise ValueError("throughflow and impact must be finite")
     positive = (thru > 0) & (impact > 0)
     n = int(positive.sum())
     if n < 3:

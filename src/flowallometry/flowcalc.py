@@ -5,12 +5,13 @@ Throughflow is the larger of a node's total inflow and outflow.  The source
 vector is throughflow minus inflow, i.e. the flow originating at the node.
 Row-normalizing the flux by throughflow gives the coefficient matrix M, and
 U = (I - M)^-1 accumulates direct and indirect flow paths; U comes from one
-LAPACK gesv through ``np.linalg.inv``.  A ``FlowAnalysis`` stores U as its
-only n x n array: M is one division away, so it is derived from the
-network's flux on each access instead of being stored.  A node's impact
-is the total system-wide throughflow lost when the node is hypothetically
-extracted; it is computed either in closed form from U or by actually
-zeroing the node's inbound coefficients and source and re-solving.
+LAPACK gesv through ``np.linalg.inv``.  A ``FlowAnalysis`` keeps no n x n
+array of its own: it holds the vectors and shares the network's read-only
+flux, from which M (one division) and U (one inverse) are derived on each
+access with the bits ``analyze`` used.  A node's impact is the total
+system-wide throughflow lost when the node is hypothetically extracted; it
+is computed either in closed form from U or by actually zeroing the node's
+inbound coefficients and source and re-solving.
 
 Sign convention: with m_ij = f_ij / T_i, the flow balance that reproduces
 throughflow is T_k = S_k + sum_j m_jk T_j, i.e. T = M^T T + S (note the
@@ -30,13 +31,15 @@ from .netcore import FlowNetwork
 COND_LIMIT = 1e12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FlowAnalysis:
-    """Derived vectors and matrices of one network, aligned to its node order."""
+    """Derived vectors of one network, aligned to its node order.
+
+    Equality and hashing are by identity, as the fields are arrays.
+    """
 
     throughflow: np.ndarray   # per-node throughflow, dollars
     source: np.ndarray        # per-node source flow, dollars
-    fundamental: np.ndarray   # (I - coefficients)^-1, dimensionless
     impact: np.ndarray        # per-node extraction impact, dollars
     flux: np.ndarray          # the network's read-only flux, shared, not copied
     damping: float            # the shrink factor analyze applied to M
@@ -49,10 +52,19 @@ class FlowAnalysis:
     def coefficients(self) -> np.ndarray:
         """Row-normalized flow shares, rows sum to <= 1, as inverted.
 
-        Recomputed on each access, so an analysis keeps one n x n array;
+        Recomputed on each access, so an analysis keeps no n x n array;
         the bits equal those ``analyze`` inverted.
         """
         return _frozen(_shares(self.flux, self.throughflow, self.damping))
+
+    @property
+    def fundamental(self) -> np.ndarray:
+        """(I - coefficients)^-1, dimensionless.
+
+        Recomputed on each access at the cost of one inverse, with the bits
+        ``analyze`` took the impacts from; bind it once when reading it often.
+        """
+        return _frozen(_fundamental(_shares(self.flux, self.throughflow, self.damping)))
 
 
 def _balance(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -64,9 +76,13 @@ def _balance(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _shares(flux: np.ndarray, thru: np.ndarray, damping: float) -> np.ndarray:
-    """M = flux / T row-wise, then shrunk by (1 - damping) when damped."""
-    coeff = flux / thru[:, None]
-    return (1.0 - damping) * coeff if damping else coeff
+    """M = flux / T row-wise, then shrunk by (1 - damping) when damped, in
+    one fresh C-ordered array whatever the flux's layout, so the 1-norms
+    ``_fundamental`` takes in it sum in the order ``np.linalg.norm`` does."""
+    coeff = np.divide(flux, thru[:, None], order="C")
+    if damping:
+        coeff *= 1.0 - damping
+    return coeff
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -84,23 +100,32 @@ def _check_condition(cond: float) -> None:
             f"flow balance nearly singular (condition estimate {cond:.3e})")
 
 
+def _norm1(matrix: np.ndarray, buf: np.ndarray) -> float:
+    """``np.linalg.norm(matrix, 1)``, the largest absolute column sum, with
+    ``|matrix|`` written into ``buf`` (which may be ``matrix``)."""
+    return float(np.add.reduce(np.abs(matrix, out=buf), axis=0).max())
+
+
 def _fundamental(coeff: np.ndarray) -> np.ndarray:
     """Fundamental matrix U = (I - M)^-1 via a pivoted dense solve.
 
-    ``np.linalg.inv`` runs one LAPACK gesv against an identity right-hand
-    side it builds itself, so U has the bits of ``solve(I - M, I)`` without
-    a second n x n argument.  ``analyze`` keeps U as the analysis's only
-    n x n array.
+    Consumes ``coeff``: I - M is built in its place (``0.0 - m``, then 1.0
+    added on the diagonal, the bits of ``eye - coeff``), so pass a fresh
+    array.  ``np.linalg.inv`` runs one LAPACK gesv against an identity
+    right-hand side it builds itself, so U has the bits of
+    ``solve(I - M, I)`` without a second n x n argument.  Both 1-norms of
+    the condition estimate are then taken through the same buffer, and U is
+    the only n x n array made here.
 
     Raises SingularNetwork when I - M is singular or its 1-norm condition
     number exceeds ``COND_LIMIT``; that happens exactly when the network
     contains a closed circulation whose every node is throughflow-saturated.
     """
-    matrix = np.eye(coeff.shape[0]) - coeff
+    matrix = np.subtract(0.0, coeff, out=coeff)
+    matrix[np.diag_indices_from(matrix)] += 1.0
     fund = _solve(matrix)
     # Equals np.linalg.cond(matrix, 1), which would invert matrix a second time.
-    _check_condition(float(np.linalg.norm(matrix, 1))
-                     * float(np.linalg.norm(fund, 1)))
+    _check_condition(_norm1(matrix, matrix) * _norm1(fund, matrix))
     return fund
 
 
@@ -140,8 +165,7 @@ def analyze(net: FlowNetwork, damping: float = 0.0) -> FlowAnalysis:
     if np.any(diag <= 0):
         raise SingularNetwork("fundamental matrix has a nonpositive diagonal")
     impact = (src @ fund) * fund.sum(axis=1) / diag
-    return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(fund),
-                        _frozen(impact), net.flux, damping)
+    return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(impact), net.flux, damping)
 
 
 def throughflow_residual(analysis: FlowAnalysis) -> float:

@@ -92,8 +92,11 @@ def dominance_share(impact) -> float:
 def inequality_report(countries: Sequence[str], impact, k: int = 10) -> InequalityReport:
     """GINI, dominance share, and the top-k (country, impact) ranking.
 
-    Ties in impact rank lexicographically by country for determinism.
+    Ties in impact rank lexicographically by country for determinism;
+    ``k = 0`` gives an empty ranking.
     """
+    if not isinstance(k, (int, np.integer)) or k < 0:
+        raise ValueError(f"k must be an integer >= 0, got {k!r}")
     x = np.asarray(impact, dtype=float)
     if x.shape != (len(countries),):
         raise ValueError("countries and impact vectors differ in length")
@@ -125,8 +128,10 @@ def rca_column(table: ComplexityTable, product: str) -> np.ndarray:
     Each country's basket share of the product divided by the sum of that
     share over all countries, so the column sums to 1; a country that
     exports nothing overall gets 0.  NoMarket if no country exports the
-    product.
+    product, ValueError if the table has no such product.
     """
+    if product not in table.products:
+        raise ValueError(f"product {product!r} is not in the table")
     return _rca_column(_share_matrix(table), table.products.index(product), product)
 
 

@@ -59,6 +59,14 @@ class TestFit:
         result = fit([1, 10, 100, 0, 5], [1, 10, 100, 5, -1])
         assert result.n == 3
 
+    @pytest.mark.parametrize("thru, impact", [
+        ([1.0, 2.0, math.inf, 4.0], [1.0, 2.0, 3.0, 4.0]),
+        ([1.0, 2.0, 3.0, 4.0], [1.0, math.nan, 3.0, 4.0]),
+    ])
+    def test_non_finite_input_rejected(self, thru, impact):
+        with pytest.raises(ValueError, match="^throughflow and impact must be finite$"):
+            fit(thru, impact)
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         thru = rng.uniform(1, 100, 20)

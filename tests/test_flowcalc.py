@@ -1,4 +1,5 @@
 import re
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -110,14 +111,19 @@ class TestFundamentalEdgeCases:
 
 
 def stored_cases(three_node_net):
-    """The worked example plus seeded random networks, cyclic and acyclic."""
+    """The worked example plus seeded random networks, cyclic and acyclic,
+    and one of them again with a Fortran-ordered flux."""
     rng = np.random.default_rng(31)
-    return [three_node_net] + [random_net(rng, back=back)
+    nets = [three_node_net] + [random_net(rng, back=back)
                                for back in (0.0, 0.1, 0.3) for _ in range(4)]
+    last = nets[-1]
+    return nets + [FlowNetwork(last.nodes, np.asfortranarray(last.flux),
+                               last.product, last.year)]
 
 
 class TestStoredArrays:
-    """An analysis owns U alone; M is derived, with the bits analyze inverted."""
+    """An analysis owns no n x n array; M and U are derived from the shared
+    flux, with the bits analyze inverted."""
 
     @pytest.mark.parametrize("damping", [0.0, 0.25])
     def test_coefficients_bitwise_equal_flux_over_throughflow(self, three_node_net,
@@ -132,14 +138,12 @@ class TestStoredArrays:
             assert not got.flags.writeable
 
     @pytest.mark.parametrize("damping", [0.0, 0.25])
-    def test_fundamental_is_the_only_owned_matrix(self, three_node_net, damping):
+    def test_analysis_owns_no_matrix(self, three_node_net, damping):
         for net in stored_cases(three_node_net):
             result = analyze(net, damping=damping)
-            matrices = {f.name: getattr(result, f.name) for f in fields(result)
-                        if np.ndim(getattr(result, f.name)) == 2}
-            owned = [name for name, array in matrices.items()
-                     if not np.shares_memory(array, net.flux)]
-            assert owned == ["fundamental"]
+            matrices = [f.name for f in fields(result)
+                        if np.ndim(getattr(result, f.name)) == 2]
+            assert matrices == ["flux"]
             assert np.shares_memory(result.flux, net.flux)
             assert result.n == net.n
 
@@ -151,7 +155,52 @@ class TestStoredArrays:
                 coeff = (1 - damping) * coeff
             identity = np.eye(net.n)
             expected = np.linalg.solve(identity - coeff, identity)
-            assert analyze(net, damping=damping).fundamental.tobytes() == expected.tobytes()
+            result = analyze(net, damping=damping)
+            first, second = result.fundamental, result.fundamental
+            assert first is not second
+            for fund in (first, second):
+                assert fund.tobytes() == expected.tobytes()
+                assert not fund.flags.writeable
+
+    def test_retained_memory_is_linear(self):
+        """Twenty analyses of one network hold their vectors, not a matrix
+        each; when every analysis kept U, each held about 103% of 8n²."""
+        net = random_net(np.random.default_rng(5), n=120, density=0.5, back=0.1)
+        analyze(net)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            analyses = [analyze(net) for _ in range(20)]
+            after, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(analyses) == 20
+        assert (after - before) / 20 < 0.05 * 8 * net.n ** 2
+
+    def test_analyze_peak_memory(self):
+        """analyze holds I - M and U at its peak, about 2 x 8n²; with an
+        identity, a second copy of M and |.| copies it reached about 4 x 8n²."""
+        net = random_net(np.random.default_rng(6), n=200, density=0.5, back=0.1)
+        analyze(net)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            result = analyze(net)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.n == 200
+        assert peak - before < 3 * 8 * net.n ** 2
+
+    def test_equality_and_hash_are_by_identity(self, three_node_net):
+        first, second = analyze(three_node_net), analyze(three_node_net)
+        assert first == first
+        assert first != second
+        assert first in [second, first]
+        assert second not in [first]
+        assert hash(first) == hash(first)
+        assert len({first, second, first}) == 2
 
 
 class TestOracleEquivalence:

@@ -90,6 +90,16 @@ class TestInequalityReport:
         with pytest.raises(ValueError, match="differ in length"):
             inequality_report(["AAA", "BBB"], impact)
 
+    @pytest.mark.parametrize("k", [-1, 2.5])
+    def test_bad_k_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^k must be an integer >= 0, got {k}$"):
+            inequality_report(["AAA", "BBB", "CCC"], [1.0, 2.0, 3.0], k=k)
+
+    def test_k_zero_gives_empty_ranking(self):
+        report = inequality_report(["AAA", "BBB", "CCC"], [1.0, 2.0, 3.0], k=0)
+        assert report.topk == ()
+        assert report.dominance == pytest.approx(0.5)
+
 
 def toy_table(gdp=None):
     return ComplexityTable(("C1", "C2"), ("P1", "P2"),
@@ -125,6 +135,10 @@ class TestRca:
                                 np.array([[5.0, 0.0], [5.0, 0.0]]))
         with pytest.raises(NoMarket, match="no country exports product P2"):
             rca_column(table, "P2")
+
+    def test_unknown_product_named(self):
+        with pytest.raises(ValueError, match="^product 'P9' is not in the table$"):
+            rca_column(toy_table(), "P9")
 
     def test_columns_sum_to_one_on_random_tables(self):
         rng = np.random.default_rng(17)
