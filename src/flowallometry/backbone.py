@@ -2,12 +2,13 @@
 
 This is a local significance filter in the spirit of the nonparametric
 backbone literature, with our own concrete rule: at each node, incident
-edge weights are normalized to fractions per direction, and an edge is kept
-when, for at least one endpoint, its fraction reaches the (1 - alpha)
-quantile of that endpoint's flow-mass distribution (each fraction weighted
-by itself), ties kept.  Equivalently, a node keeps the smallest set of its
-heaviest edges that together carry at least an alpha share of its flow in
-that direction.  The filter runs on the directed network as-is.
+edge weights are normalized to fractions of the network's own totals
+(``FlowNetwork.outflow``, ``inflow``), and an edge is kept when, for at
+least one endpoint, its fraction reaches the (1 - alpha) quantile of that
+endpoint's flow-mass distribution (each fraction weighted by itself), ties
+kept.  Equivalently, a node keeps the smallest set of its heaviest edges
+that together carry at least an alpha share of its flow in that direction.
+The filter runs on the directed network as-is.
 
 Backbones are for visualization only; they never feed the scaling exponent,
 GINI, or impact computations.
@@ -61,9 +62,7 @@ def extract(net: FlowNetwork, alpha: float = 0.05) -> Backbone:
     """
     if not 0.0 < alpha <= 1.0:
         raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-    flux = net.flux
-    out_strength = flux.sum(axis=1)
-    in_strength = flux.sum(axis=0)
+    flux, out_strength, in_strength = net.flux, net.outflow, net.inflow
     # Isolated directions divide by 1: their rows hold no edge to keep.
     out_fraction = flux / np.where(out_strength > 0, out_strength, 1.0)[:, None]
     in_fraction = flux / np.where(in_strength > 0, in_strength, 1.0)
@@ -73,8 +72,6 @@ def extract(net: FlowNetwork, alpha: float = 0.05) -> Backbone:
         | (in_fraction >= _mass_quantiles(in_fraction.T, target)))
     kept = {(net.nodes[src], net.nodes[dst]) for src, dst in zip(*np.nonzero(keep))}
 
-    roles = {net.nodes[i]: EXPORTER if out_strength[i] > in_strength[i] else IMPORTER
-             for i in range(net.n)}
-    sizes = {net.nodes[i]: float(max(out_strength[i], in_strength[i]))
-             for i in range(net.n)}
+    roles = dict(zip(net.nodes, np.where(out_strength > in_strength, EXPORTER, IMPORTER).tolist()))
+    sizes = dict(zip(net.nodes, np.maximum(out_strength, in_strength).tolist()))
     return Backbone(alpha, frozenset(kept), roles, sizes)

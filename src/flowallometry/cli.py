@@ -247,8 +247,9 @@ def cmd_backbone(args) -> str:
                         "digits": args.digits, "alpha": args.alpha})
     nodes = [{"id": code, "role": bone.roles[code], "size": bone.sizes[code]}
              for code in net.nodes]
+    position = {code: i for i, code in enumerate(net.nodes)}
     links = [{"source": s, "target": t,
-              "weight": float(net.flux[net.index(s), net.index(t)])}
+              "weight": float(net.flux[position[s], position[t]])}
              for s, t in sorted(bone.kept)]
     if args.format == "json":
         return _render_json({"directed": True, "alpha": args.alpha,

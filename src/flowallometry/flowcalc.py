@@ -1,7 +1,8 @@
 """Flow calculus: throughflow, sources, flow coefficients, the fundamental
 matrix, and node impacts.
 
-Throughflow is the larger of a node's total inflow and outflow.  The source
+Throughflow is the larger of a node's total inflow and outflow, the totals
+the network summed once (``FlowNetwork.inflow``, ``outflow``).  The source
 vector is throughflow minus inflow, i.e. the flow originating at the node.
 Row-normalizing the flux by throughflow gives the coefficient matrix M, and
 U = (I - M)^-1 accumulates direct and indirect flow paths; U comes from one
@@ -67,12 +68,11 @@ class FlowAnalysis:
         return _frozen(_fundamental(_shares(self.flux, self.throughflow, self.damping)))
 
 
-def _balance(flux: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _balance(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
     """Throughflow, the larger of inflow and outflow, and source, throughflow
-    minus inflow (nonnegative by construction); the inflow is summed once."""
-    inflow = flux.sum(axis=0)
-    thru = np.maximum(inflow, flux.sum(axis=1))
-    return thru, thru - inflow
+    minus inflow (nonnegative by construction), from the network's totals."""
+    thru = np.maximum(net.inflow, net.outflow)
+    return thru, thru - net.inflow
 
 
 def _shares(flux: np.ndarray, thru: np.ndarray, damping: float) -> np.ndarray:
@@ -137,7 +137,7 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     returns the total reduction.  This path never touches the fundamental
     matrix, so it serves as an independent oracle for the closed form.
     """
-    thru, src = _balance(net.flux)
+    thru, src = _balance(net)
     coeff = _shares(net.flux, thru, 0.0)
     coeff[:, i] = 0.0
     src[i] = 0.0
@@ -159,7 +159,7 @@ def analyze(net: FlowNetwork, damping: float = 0.0) -> FlowAnalysis:
     """
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping must be in [0, 1), got {damping}")
-    thru, src = _balance(net.flux)
+    thru, src = _balance(net)
     fund = _fundamental(_shares(net.flux, thru, damping))
     diag = np.diagonal(fund)
     if np.any(diag <= 0):

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .netcore import TradeTable, country_id, product_code
+from .netcore import TradeTable, _node_id, country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
 ATTRIBUTES_HEADER = ("country", "value")
@@ -99,13 +99,12 @@ def _nonnegative_value(row, raw):
     return value
 
 
-def _checked(cache: dict, check, raw: str, row: int, column: str) -> str:
-    """``check(raw)``, kept in ``cache``; ParseError at ``row``, ``column`` if it fails."""
+def _checked(check, raw: str, row: int, column: str) -> str:
+    """``check(raw)``; ParseError at ``row``, ``column`` if it fails."""
     try:
-        cache[raw] = code = check(raw)
+        return check(raw)
     except ValueError as exc:
         raise ParseError(row, column, str(exc)) from None
-    return code
 
 
 def parse_trades(source) -> TradeTable:
@@ -245,7 +244,6 @@ def _read_rows(text: str) -> TradeTable:
     """The table of ``text`` read row by row through ``csv.reader``;
     ParseError at the first bad field."""
     rows = []
-    countries, products = {}, {}     # field -> its checked code
     for row, (year_s, exporter, importer, product, value_s) in _rows(text, TRADES_HEADER):
         try:
             year = int(year_s)
@@ -253,12 +251,11 @@ def _read_rows(text: str) -> TradeTable:
             raise ParseError(row, "year", f"not an integer: {year_s!r}") from None
         if not _INT64_MIN <= year <= _INT64_MAX:
             raise ParseError(row, "year", f"out of range: {year_s!r}")
-        rows.append((
-            year,
-            countries.get(exporter) or _checked(countries, country_id, exporter, row, "exporter"),
-            countries.get(importer) or _checked(countries, country_id, importer, row, "importer"),
-            products.get(product) or _checked(products, product_code, product, row, "product"),
-            _nonnegative_value(row, value_s)))
+        # _node_id keeps each checked country for its next row.
+        rows.append((year, _checked(_node_id, exporter, row, "exporter"),
+                     _checked(_node_id, importer, row, "importer"),
+                     _checked(product_code, product, row, "product"),
+                     _nonnegative_value(row, value_s)))
     return TradeTable.from_rows(rows)
 
 
@@ -281,31 +278,23 @@ def parse_attributes(source, kind: str | None = None) -> list[CountryAttribute]:
     """
     if kind not in (None, "gdp"):
         raise ValueError(f"unknown attribute kind {kind!r}")
-    seen: set[str] = set()
-    out = []
+    out: dict[str, CountryAttribute] = {}
     for row, (country, value_s) in _rows(source, ATTRIBUTES_HEADER):
-        try:
-            country = country_id(country)
-        except ValueError as exc:
-            raise ParseError(row, "country", str(exc)) from None
-        if country in seen:
+        country = _checked(country_id, country, row, "country")
+        if country in out:
             raise ParseError(row, "country", f"duplicate country {country}")
-        seen.add(country)
         value = _nonnegative_value(row, value_s)
         if kind == "gdp" and value <= 0:
             raise ParseError(row, "value", f"GDP per capita must be > 0: {value}")
-        out.append(CountryAttribute(country, value))
-    return out
+        out[country] = CountryAttribute(country, value)
+    return list(out.values())
 
 
 def parse_product_column(source) -> dict[str, float]:
     """Parse a per-product value CSV (header ``product,value``) into a mapping."""
     out: dict[str, float] = {}
     for row, (product, value_s) in _rows(source, COLUMN_HEADER):
-        try:
-            product = product_code(product)
-        except ValueError as exc:
-            raise ParseError(row, "product", str(exc)) from None
+        product = _checked(product_code, product, row, "product")
         if product in out:
             raise ParseError(row, "product", f"duplicate product code {product}")
         out[product] = _nonnegative_value(row, value_s)
@@ -314,15 +303,6 @@ def parse_product_column(source) -> dict[str, float]:
 
 def parse_exclusions(source) -> set[str]:
     """Parse an exclusion list: one product code per line, ``#`` comments allowed."""
-    codes = set()
-    row = 0
-    for line in _text(source).splitlines():
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        row += 1
-        try:
-            codes.add(product_code(line))
-        except ValueError as exc:
-            raise ParseError(row, "product", str(exc)) from None
-    return codes
+    lines = [line for line in map(str.strip, _text(source).splitlines())
+             if line and not line.startswith("#")]
+    return {_checked(product_code, line, row, "product") for row, line in enumerate(lines, 1)}

@@ -95,7 +95,7 @@ def inequality_report(countries: Sequence[str], impact, k: int = 10) -> Inequali
     Ties in impact rank lexicographically by country for determinism;
     ``k = 0`` gives an empty ranking.
     """
-    if not isinstance(k, (int, np.integer)) or k < 0:
+    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise ValueError(f"k must be an integer >= 0, got {k!r}")
     x = np.asarray(impact, dtype=float)
     if x.shape != (len(countries),):

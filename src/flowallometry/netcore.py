@@ -91,17 +91,26 @@ def cell_total(values: Sequence[float]) -> float:
     return total
 
 
+def _totals(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
+    """Row and column sums, and whether all are finite; an overflow is inf, silently."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        outflow, inflow = matrix.sum(axis=1), matrix.sum(axis=0)
+    return outflow, inflow, bool(np.isfinite(outflow).all() and np.isfinite(inflow).all())
+
+
 class FlowNetwork:
     """Immutable flow network: node roster plus nonnegative flux matrix.
 
     Invariants enforced at construction: the flux matrix is square with a
-    zero diagonal, entries are finite and nonnegative, and nodes without any
-    nonzero incident flow are stripped.  Node order is whatever the caller
-    supplies (``build_network`` sorts lexicographically); the flux array is
-    marked read-only, so instances are safe to share across threads.
+    zero diagonal, entries are finite and nonnegative, each node's
+    ``outflow`` (row sum) and ``inflow`` (column sum), summed here once for
+    every analysis, are finite, and nodes without any nonzero incident flow
+    are stripped.  Node order is whatever the caller supplies
+    (``build_network`` sorts lexicographically); the flux is stored
+    C-ordered, and all three arrays are read-only.
     """
 
-    __slots__ = ("nodes", "flux", "product", "year", "_index")
+    __slots__ = ("nodes", "flux", "outflow", "inflow", "product", "year")
 
     def __init__(self, nodes: Sequence[str], flux, product: str, year: int):
         # From a list: a tuple built from a generator grows by reallocation,
@@ -109,31 +118,40 @@ class FlowNetwork:
         nodes = tuple([_node_id(c) for c in nodes])
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate nodes")
-        matrix = np.array(flux, dtype=float)
+        # C-ordered whatever the input's layout, so the sums have one set of bits.
+        matrix = np.array(flux, dtype=float, order="C")
         n = len(nodes)
         if matrix.shape != (n, n):
             raise ValueError(f"flux shape {matrix.shape} does not match {n} nodes")
-        if not np.all(np.isfinite(matrix)):
+        outflow, inflow, finite = _totals(matrix)
+        if not finite and not np.isfinite(matrix).all():
             raise ValueError("flux entries must be finite")
         if np.any(matrix < 0):
             raise NegativeFlow("flux entries must be nonnegative")
         if np.any(np.diagonal(matrix) != 0):
             raise ValueError("flux diagonal must be zero (self-trade excluded)")
 
-        active = (matrix.sum(axis=0) + matrix.sum(axis=1)) > 0
+        active = (outflow > 0) | (inflow > 0)
         if not active.any():
             raise EmptySelection("network has no nonzero flows")
         if not active.all():
             keep = np.flatnonzero(active)
             nodes = tuple(nodes[i] for i in keep)
             matrix = matrix[np.ix_(keep, keep)]
-        matrix.flags.writeable = False
+            # Summed again: without the zero columns numpy blocks the sums
+            # differently, so slices of the first sums would differ in bits.
+            outflow, inflow, finite = _totals(matrix)
+        if not finite:
+            raise ValueError("a node's total flow exceeds the float range")
+        for array in (matrix, outflow, inflow):
+            array.flags.writeable = False
 
         self.nodes = nodes
         self.flux = matrix
+        self.outflow = outflow
+        self.inflow = inflow
         self.product = product
         self.year = int(year)
-        self._index = {c: i for i, c in enumerate(nodes)}
 
     @classmethod
     def from_edges(cls, edges, product: str = ALL, year: int = 2000) -> "FlowNetwork":
@@ -153,9 +171,6 @@ class FlowNetwork:
     @property
     def n(self) -> int:
         return len(self.nodes)
-
-    def index(self, code: str) -> int:
-        return self._index[code]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FlowNetwork):
@@ -178,8 +193,10 @@ class TradeTable:
     ``importer`` are ids into the sorted roster ``countries``, ``product``
     ids into the sorted roster ``products``; ``len()`` is the row count.
 
-    Every value is finite and nonnegative: construction raises ValueError
-    or NegativeFlow naming the first row that is not.  The columns are then
+    Construction raises ValueError naming the column for columns of
+    unequal length, an id outside its roster, or a roster that is not
+    sorted and distinct; and ValueError or NegativeFlow naming the first
+    row whose value is not finite and nonnegative.  The columns are then
     marked read-only, so a table cannot change under later analyses.
     """
 
@@ -192,6 +209,17 @@ class TradeTable:
     value: np.ndarray        # float64
 
     def __post_init__(self):
+        for name in ("countries", "products"):
+            if any(a >= b for a, b in pairwise(getattr(self, name))):
+                raise ValueError(f"roster {name} is not sorted and distinct")
+        rows = len(self.value)
+        for name, size in (("year", None), ("exporter", len(self.countries)),
+                           ("importer", len(self.countries)), ("product", len(self.products))):
+            column = getattr(self, name)
+            if len(column) != rows:
+                raise ValueError(f"column {name} has {len(column)} rows, value has {rows}")
+            if size is not None and rows and not 0 <= column.min() <= column.max() < size:
+                raise ValueError(f"column {name} holds an id outside its {size}-entry roster")
         bad = np.flatnonzero(~(np.isfinite(self.value) & (self.value >= 0)))
         if bad.size:
             k = bad[0]

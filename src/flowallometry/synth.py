@@ -52,10 +52,8 @@ class SynthSpec:
             raise BadSpec(f"back_density must be in [0, 1], got {self.back_density}")
 
     def weight_range(self) -> tuple[float, float]:
-        if isinstance(self.weight, tuple):
-            lo, hi = self.weight
-            return float(lo), float(hi)
-        return float(self.weight), float(self.weight)
+        lo, hi = self.weight if isinstance(self.weight, tuple) else (self.weight,) * 2
+        return float(lo), float(hi)
 
 
 def _codes(n: int) -> list[str]:
@@ -103,11 +101,7 @@ def _star(spec: SynthSpec) -> np.ndarray:
 
 
 def _chain(spec: SynthSpec) -> np.ndarray:
-    flux = np.zeros((spec.n, spec.n))
-    weight = spec.weight_range()[0]
-    for i in range(spec.n - 1):
-        flux[i, i + 1] = weight
-    return flux
+    return np.diag(np.full(spec.n - 1, spec.weight_range()[0]), k=1)
 
 
 def _draw_weight(rng: np.random.Generator, lo: float, hi: float) -> float:

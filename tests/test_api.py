@@ -31,6 +31,10 @@ def test_all_is_the_pinned_sorted_list():
     assert fa.__all__ == PUBLIC
 
 
+def test_flow_network_surface_is_pinned():
+    assert fa.FlowNetwork.__slots__ == ("nodes", "flux", "outflow", "inflow", "product", "year")
+
+
 def test_every_public_name_resolves():
     assert [name for name in fa.__all__ if not hasattr(fa, name)] == []
 

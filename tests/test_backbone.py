@@ -62,7 +62,7 @@ class TestRule:
         assert len(bone.kept) == 100
         # ... but only the heavy spoke clears the hub-side threshold
         flux = net.flux
-        hub = net.index("HUB")
+        hub = net.nodes.index("HUB")
         out = flux[hub].sum()
         threshold = mass_quantile(flux[hub][flux[hub] > 0] / out, 0.95)
         assert threshold == pytest.approx(10.0 / 109.0)

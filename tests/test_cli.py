@@ -302,12 +302,13 @@ class TestExitCodes:
         b"2000,AAA,BBB,1,\xff\xfe5\n",
         "2000,AAA,BBB,\u00b2,5\n".encode(),
         b"2000,AAA,BBB,1,1e308\n2000,AAA,BBB,1,1e308\n",
+        b"2000,AAA,BBB,1,1e308\n2000,AAA,CCC,1,1e308\n",
         b'2000,"AAA,BBB",CCC,1,7\n',
         b'2000,AAA,"B""B",1,7\n',
         b"2000,AAA,B\x00B,1,7\n",
         b"2000,A\x7fA,BBB,1,7\n",
     ], ids=["oversized_field", "not_utf8", "superscript_code", "overflow",
-            "comma_in_country", "quote_in_country", "nul_in_country",
+            "node_total_overflow", "comma_in_country", "quote_in_country", "nul_in_country",
             "delete_in_country"])
     def test_malformed_input_exits_without_traceback(self, tmp_path, capsys,
                                                      command, rows):

@@ -90,7 +90,7 @@ class TestInequalityReport:
         with pytest.raises(ValueError, match="differ in length"):
             inequality_report(["AAA", "BBB"], impact)
 
-    @pytest.mark.parametrize("k", [-1, 2.5])
+    @pytest.mark.parametrize("k", [-1, 2.5, True])
     def test_bad_k_rejected(self, k):
         with pytest.raises(ValueError, match=f"^k must be an integer >= 0, got {k}$"):
             inequality_report(["AAA", "BBB", "CCC"], [1.0, 2.0, 3.0], k=k)

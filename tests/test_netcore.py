@@ -1,14 +1,16 @@
+import dataclasses
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from flowallometry import netcore
 from flowallometry import (ALL, EmptySelection, FlowDataWarning, FlowNetwork,
-                           NegativeFlow, TradeTable, build_network,
-                           country_id, parse_trades, product_code)
+                           NegativeFlow, TradeTable, analyze, build_network,
+                           country_id, extract, parse_trades, product_code,
+                           random_flow)
 from flowallometry.synth import to_table
 
 
@@ -110,6 +112,67 @@ class TestFlowNetwork:
             with pytest.raises(ValueError, match="exceeds the float range"):
                 FlowNetwork.from_edges([("AAA", "BBB", 1e308), ("AAA", "BBB", 1e308)])
 
+    @pytest.mark.parametrize("flux", [
+        [[0, 1e308, 1e308], [0, 0, 1], [1, 0, 0]],      # AAA's outflow
+        [[0, 0, 1e308], [0, 0, 1e308], [1, 0, 0]],      # CCC's inflow
+    ], ids=["outflow", "inflow"])
+    def test_overflowing_node_total_raises(self, flux):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ValueError, match="exceeds the float range"):
+                FlowNetwork(["AAA", "BBB", "CCC"], flux, "1", 2000)
+
+    @pytest.mark.parametrize("flux, error, match", [
+        ([[0, np.nan, 1e308], [-1, 1, 1e308], [0, 0, 0]], ValueError, "must be finite"),
+        ([[0, -np.inf, np.inf], [1, 1, 0], [0, 0, 0]], ValueError, "must be finite"),
+        ([[0, -1, 1e308], [0, 1, 1e308], [0, 0, 0]], NegativeFlow, "nonnegative"),
+        ([[0, 0, 1e308], [0, 1, 1e308], [0, 0, 0]], ValueError, "diagonal"),
+    ], ids=["nan", "infinities", "negative", "diagonal"])
+    def test_entry_errors_come_before_the_total_error(self, flux, error, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(error, match=match):
+                FlowNetwork(["AAA", "BBB", "CCC"], flux, "1", 2000)
+
+    def test_totals_are_read_only_sums_of_the_stripped_flux(self):
+        rng = np.random.default_rng(3)
+        flux = rng.uniform(0.0, 1.0, (30, 30)) * (rng.random((30, 30)) < 0.4)
+        np.fill_diagonal(flux, 0.0)
+        flux[[4, 17], :] = 0.0
+        flux[:, [4, 17]] = 0.0
+        net = FlowNetwork([f"N{i:02d}" for i in range(30)], flux, "1", 2000)
+        assert net.n == 28 and net.flux.flags.c_contiguous
+        assert net.outflow.tobytes() == net.flux.sum(axis=1).tobytes()
+        assert net.inflow.tobytes() == net.flux.sum(axis=0).tobytes()
+        for total in (net.outflow, net.inflow):
+            with pytest.raises(ValueError, match="read-only"):
+                total[0] = 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(4, 60), density=st.floats(0.2, 1.0), seed=st.integers(0, 2**31 - 1),
+       alpha=st.sampled_from([0.05, 0.3, 1.0]))
+def test_flux_layout_does_not_change_any_bit(n, density, seed, alpha):
+    try:
+        base = random_flow(n, density, seed=seed)
+    except EmptySelection:
+        assume(False)
+    padded = np.zeros((2 * base.n, 3 * base.n))
+    padded[::2, ::3] = base.flux
+    layouts = [np.ascontiguousarray(base.flux), np.asfortranarray(base.flux),
+               padded[::2, ::3]]
+    nets = [FlowNetwork(base.nodes, flux, base.product, base.year) for flux in layouts]
+    analyses = [analyze(net) for net in nets]
+    bones = [extract(net, alpha) for net in nets]
+    for net, analysis, bone in zip(nets, analyses, bones):
+        assert net == nets[0] and bone == bones[0]
+        assert net.outflow.tobytes() == nets[0].outflow.tobytes()
+        assert net.inflow.tobytes() == nets[0].inflow.tobytes()
+        for name in ("throughflow", "source", "impact"):
+            assert getattr(analysis, name).tobytes() == getattr(analyses[0], name).tobytes()
+        assert (analysis.throughflow.tobytes()
+                == np.maximum(net.inflow, net.outflow).tobytes())
+
 
 class TestTradeTable:
     # The bad row is in 1999; an analysis of 2000 never selects it.
@@ -139,6 +202,23 @@ class TestTradeTable:
         with pytest.raises(error, match=r"trade value .* \(MEX->CAN, 7101\)$"):
             build(rows)
 
+    @pytest.mark.parametrize("name, column, match", [
+        ("year", np.array([2000, 1999]), "column year has 2 rows, value has 3"),
+        ("importer", np.array([1, 0, 3, 0]), "column importer has 4 rows, value has 3"),
+        ("exporter", np.array([3, 4, 1]), "column exporter holds an id outside its 4-entry"),
+        ("importer", np.array([1, -1, 3]), "column importer holds an id outside its 4-entry"),
+        ("product", np.array([0, 2, 0]), "column product holds an id outside its 2-entry"),
+        ("countries", ("CAN", "JPN", "USA", "MEX"), "roster countries is not sorted"),
+        ("countries", ("CAN", "JPN", "JPN", "USA"), "roster countries is not sorted"),
+        ("products", ("7101", "7100"), "roster products is not sorted"),
+    ], ids=["short_year", "long_importer", "exporter_past_roster", "negative_importer",
+            "product_past_roster", "unsorted_countries", "repeated_country",
+            "unsorted_products"])
+    def test_constructor_rejects_inconsistent_columns(self, name, column, match):
+        table = self.bare(self.ROWS)
+        with pytest.raises(ValueError, match=match):
+            dataclasses.replace(table, **{name: column})
+
     @pytest.mark.parametrize("make", [
         lambda rows: parse_trades("year,exporter,importer,product,value\n" + "".join(
             f"{y},{e},{i},{p},{v}\n" for y, e, i, p, v in rows)),
@@ -160,7 +240,7 @@ class TestBuildNetwork:
         rows = [(2000, "USA", "JPN", "7100", 2.0),
                 (2000, "USA", "JPN", "7102", 3.0)]
         net = build_network(TradeTable.from_rows(rows), "71", 2000, 2)
-        assert net.flux[net.index("USA"), net.index("JPN")] == 5.0
+        assert net.flux[net.nodes.index("USA"), net.nodes.index("JPN")] == 5.0
 
     def test_self_loop_dropped_with_counted_warning(self):
         rows = [(2000, "USA", "USA", "7100", 9.0),
