@@ -39,6 +39,9 @@ CONVENTIONS = {
                       "network, ties kept; visualization only"),
 }
 
+#: Most years a ``--years`` list may name.
+MAX_YEARS = 10_000
+
 
 # ---------------------------------------------------------------------------
 # document rendering
@@ -115,9 +118,12 @@ def _parse_years(text: str | None) -> list[int] | None:
             lo, hi = map(int, part.split("-", 1))
             if lo > hi:
                 raise ValueError(f"empty year range {part!r}: {lo} is after {hi}")
-            years.extend(range(lo, hi + 1))
+            span = range(lo, hi + 1)
         else:
-            years.append(int(part))
+            span = [int(part)]
+        if len(years) + len(span) > MAX_YEARS:
+            raise ValueError(f"year list exceeds {MAX_YEARS} years at {part!r}")
+        years.extend(span)
     return list(dict.fromkeys(years))     # each year once, first occurrence first
 
 

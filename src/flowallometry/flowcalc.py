@@ -43,7 +43,6 @@ class FlowAnalysis:
     source: np.ndarray        # per-node source flow, dollars
     impact: np.ndarray        # per-node extraction impact, dollars
     flux: np.ndarray          # the network's read-only flux, shared, not copied
-    damping: float            # the shrink factor analyze applied to M
 
     @property
     def n(self) -> int:
@@ -56,7 +55,7 @@ class FlowAnalysis:
         Recomputed on each access, so an analysis keeps no n x n array;
         the bits equal those ``analyze`` inverted.
         """
-        return _frozen(_shares(self.flux, self.throughflow, self.damping))
+        return _frozen(_shares(self.flux, self.throughflow))
 
     @property
     def fundamental(self) -> np.ndarray:
@@ -65,7 +64,7 @@ class FlowAnalysis:
         Recomputed on each access at the cost of one inverse, with the bits
         ``analyze`` took the impacts from; bind it once when reading it often.
         """
-        return _frozen(_fundamental(_shares(self.flux, self.throughflow, self.damping)))
+        return _frozen(_fundamental(_shares(self.flux, self.throughflow)))
 
 
 def _balance(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
@@ -75,14 +74,11 @@ def _balance(net: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
     return thru, thru - net.inflow
 
 
-def _shares(flux: np.ndarray, thru: np.ndarray, damping: float) -> np.ndarray:
-    """M = flux / T row-wise, then shrunk by (1 - damping) when damped, in
-    one fresh C-ordered array whatever the flux's layout, so the 1-norms
-    ``_fundamental`` takes in it sum in the order ``np.linalg.norm`` does."""
-    coeff = np.divide(flux, thru[:, None], order="C")
-    if damping:
-        coeff *= 1.0 - damping
-    return coeff
+def _shares(flux: np.ndarray, thru: np.ndarray) -> np.ndarray:
+    """M = flux / T row-wise, in one fresh C-ordered array whatever the
+    flux's layout, so the 1-norms ``_fundamental`` takes in it sum in the
+    order ``np.linalg.norm`` does."""
+    return np.divide(flux, thru[:, None], order="C")
 
 
 def _solve(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
@@ -122,7 +118,7 @@ def _fundamental(coeff: np.ndarray) -> np.ndarray:
     contains a closed circulation whose every node is throughflow-saturated.
     """
     matrix = np.subtract(0.0, coeff, out=coeff)
-    matrix[np.diag_indices_from(matrix)] += 1.0
+    matrix.reshape(-1)[:: len(matrix) + 1] += 1.0
     fund = _solve(matrix)
     # Equals np.linalg.cond(matrix, 1), which would invert matrix a second time.
     _check_condition(_norm1(matrix, matrix) * _norm1(fund, matrix))
@@ -138,7 +134,7 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     matrix, so it serves as an independent oracle for the closed form.
     """
     thru, src = _balance(net)
-    coeff = _shares(net.flux, thru, 0.0)
+    coeff = _shares(net.flux, thru)
     coeff[:, i] = 0.0
     src[i] = 0.0
     matrix = np.eye(net.n) - coeff.T
@@ -147,25 +143,18 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     return float((thru - reduced_thru).sum())
 
 
-def analyze(net: FlowNetwork, damping: float = 0.0) -> FlowAnalysis:
+def analyze(net: FlowNetwork) -> FlowAnalysis:
     """Full flow analysis of one network; impacts come from the closed form
     impact_i = (sum_j S_j u_ji) * (sum_k u_ik) / u_ii, in O(N^2) from the
     column-weighted source vector and the row sums of U.
-
-    A nonzero ``damping`` shrinks the coefficient matrix by (1 - damping)
-    before inversion, and ``coefficients`` reads back the shrunk one; that
-    trades the exact flow balance for solvability on saturated circulations,
-    so leave it 0 unless analyze has already raised SingularNetwork.
     """
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping must be in [0, 1), got {damping}")
     thru, src = _balance(net)
-    fund = _fundamental(_shares(net.flux, thru, damping))
+    fund = _fundamental(_shares(net.flux, thru))
     diag = np.diagonal(fund)
     if np.any(diag <= 0):
         raise SingularNetwork("fundamental matrix has a nonpositive diagonal")
     impact = (src @ fund) * fund.sum(axis=1) / diag
-    return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(impact), net.flux, damping)
+    return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(impact), net.flux)
 
 
 def throughflow_residual(analysis: FlowAnalysis) -> float:

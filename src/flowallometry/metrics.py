@@ -16,7 +16,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import AllZero, NoMarket, TooFewPoints, ZeroVariance
-from .netcore import TradeTable, _cells, _positions, _select
+from .netcore import TradeTable, _cells, _positions, _select, _totals
+
+#: Length of the impact ranking in an ``InequalityReport``.
+TOP_K = 10
 
 
 @dataclass(frozen=True)
@@ -89,26 +92,26 @@ def dominance_share(impact) -> float:
     return float(x.max()) / total
 
 
-def inequality_report(countries: Sequence[str], impact, k: int = 10) -> InequalityReport:
-    """GINI, dominance share, and the top-k (country, impact) ranking.
+def inequality_report(countries: Sequence[str], impact) -> InequalityReport:
+    """GINI, dominance share, and the top ``TOP_K`` (country, impact) ranking.
 
-    Ties in impact rank lexicographically by country for determinism;
-    ``k = 0`` gives an empty ranking.
+    Ties in impact rank lexicographically by country for determinism.
     """
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise ValueError(f"k must be an integer >= 0, got {k!r}")
     x = np.asarray(impact, dtype=float)
     if x.shape != (len(countries),):
         raise ValueError("countries and impact vectors differ in length")
     values = x.tolist()
     order = sorted(range(len(countries)), key=lambda i: (-values[i], countries[i]))
-    top = tuple((countries[i], values[i]) for i in order[:k])
+    top = tuple((countries[i], values[i]) for i in order[:TOP_K])
     return InequalityReport(gini(x), dominance_share(x), top)
 
 
 def _share_matrix(table: ComplexityTable) -> np.ndarray:
-    """Per-country export-basket shares; countries exporting nothing get zero rows."""
-    totals = table.exports.sum(axis=1)
+    """Per-country export-basket shares; countries exporting nothing get zero
+    rows.  ValueError if a country's or product's total is not finite."""
+    totals, _, finite = _totals(table.exports)
+    if not finite:
+        raise ValueError("an export total exceeds the float range")
     active = totals > 0
     shares = np.zeros_like(table.exports)
     shares[active] = table.exports[active] / totals[active, None]

@@ -245,6 +245,8 @@ class TradeTable:
     @classmethod
     def concat(cls, tables: Sequence[TradeTable]) -> TradeTable:
         """The rows of ``tables`` in order, over the union of their rosters."""
+        if not tables:
+            raise ValueError("no tables to concatenate")
         countries, country_ids = _intern(str, *(t.countries for t in tables))
         products, product_ids = _intern(str, *(t.products for t in tables))
         columns = zip(*((t.year, c[t.exporter], c[t.importer], p[t.product], t.value)

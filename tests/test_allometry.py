@@ -67,6 +67,11 @@ class TestFit:
         with pytest.raises(ValueError, match="^throughflow and impact must be finite$"):
             fit(thru, impact)
 
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError,
+                           match="^throughflow and impact vectors differ in length$"):
+            fit([1.0, 2.0, 3.0, 4.0], [1.0, 2.0, 3.0])
+
     def test_scale_invariance(self):
         rng = np.random.default_rng(1)
         thru = rng.uniform(1, 100, 20)
@@ -129,6 +134,13 @@ class TestTreeAllometry:
         net = FlowNetwork.from_edges(
             {("AAA", "BBB"): 1.0, ("BBB", "CCC"): 1.0, ("CCC", "AAA"): 1.0})
         with pytest.raises(NotATree):
+            tree_allometry(net)
+
+    def test_cycle_apart_from_root_rejected(self):
+        # one root, AAA, whose subtree never reaches the CCC <-> DDD cycle
+        net = FlowNetwork.from_edges(
+            {("AAA", "BBB"): 1.0, ("CCC", "DDD"): 1.0, ("DDD", "CCC"): 1.0})
+        with pytest.raises(NotATree, match="^edge set contains a cycle$"):
             tree_allometry(net)
 
     def test_multiple_roots_rejected(self):

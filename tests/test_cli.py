@@ -268,6 +268,22 @@ class TestExitCodes:
         assert code == 1 and text is None
         assert "empty year range" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("years,part", [("1990,2000-1999999999", "2000-1999999999"),
+                                            ("1991-11990,1990", "1990")])
+    def test_year_list_past_ten_thousand_is_one(self, tmp_path, capsys, years, part):
+        code, text = run(tmp_path, "timeseries", "--input", CORPUS4, "--digits", "1",
+                         "--years", years)
+        assert code == 1 and text is None
+        err = capsys.readouterr().err
+        assert err == f"flowallometry: error: year list exceeds 10000 years at {part!r}\n"
+
+    def test_year_list_of_ten_thousand_is_accepted(self, tmp_path):
+        code, text = run(tmp_path, "timeseries", "--input", CORPUS4, "--digits", "1",
+                         "--min-countries", "3", "--years", "1990,1991-11989",
+                         "--format", "json")
+        assert code == 0
+        assert len(json.loads(text)["years"]) == 10_000
+
     @pytest.mark.parametrize("value", ["nan", "-1", "-inf"])
     @pytest.mark.parametrize("argv", [
         ("analyze", "--input", FIXTURE, "--year", "2000", "--product", "71",
@@ -325,6 +341,20 @@ class TestExitCodes:
         assert code == 1 and text is None
         assert err.startswith("flowallometry: error:") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    def test_country_export_total_overflow_is_one(self, tmp_path, capsys):
+        # each cell is finite, AAA's exports of products 1 and 2 together are not
+        trades = tmp_path / "bad.csv"
+        trades.write_text("year,exporter,importer,product,value\n"
+                          "2000,AAA,BBB,1,1e308\n2000,AAA,CCC,2,1e308\n"
+                          "2000,BBB,CCC,1,5\n2000,CCC,AAA,1,3\n2000,BBB,AAA,2,4\n")
+        gdp = tmp_path / "gdp.csv"
+        gdp.write_text("country,value\nAAA,1000\nBBB,2000\nCCC,3000\n")
+        code, text = run(tmp_path, "prody", "--input", str(trades), "--year", "2000",
+                         "--digits", "1", "--gdp", str(gdp))
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "flowallometry: error: an export total exceeds the float range\n")
 
 
 class TestSynthCommand:

@@ -5,7 +5,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
-from flowallometry import (FlowNetwork, SingularNetwork, analyze,
+from flowallometry import (FlowAnalysis, FlowNetwork, SingularNetwork, analyze,
                            impact_by_extraction, throughflow_residual)
 from flowallometry.flowcalc import _fundamental
 from conftest import random_net
@@ -67,24 +67,13 @@ class TestFundamentalEdgeCases:
 
     def test_saturated_two_cycle_is_singular(self):
         net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("BBB", "AAA"): 5.0})
-        assert np.array_equal(analyze(net, damping=0.5).coefficients,
-                              [[0, 0.5], [0.5, 0]])
         with pytest.raises(SingularNetwork,
                            match="^flow balance is singular: Singular matrix$"):
             analyze(net)
 
-    def test_damping_regularizes_on_request(self):
-        net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("BBB", "AAA"): 5.0})
-        result = analyze(net, damping=0.01)
-        assert np.all(np.isfinite(result.impact))
-
-    @pytest.mark.parametrize("damping", [-0.5, 1.0, float("nan")])
-    def test_analyze_rejects_damping_outside_unit_interval(self, damping):
-        net = FlowNetwork.from_edges({("AAA", "BBB"): 5.0, ("BBB", "AAA"): 5.0})
-        with pytest.raises(ValueError, match="damping"):
-            analyze(net, damping=damping)
-
-    def test_only_analyze_takes_damping(self, three_node_net):
+    def test_no_function_takes_damping(self, three_node_net):
+        with pytest.raises(TypeError):
+            analyze(three_node_net, damping=0.1)
         with pytest.raises(TypeError):
             _fundamental(np.zeros((2, 2)), damping=0.1)
         with pytest.raises(TypeError):
@@ -125,37 +114,31 @@ class TestStoredArrays:
     """An analysis owns no n x n array; M and U are derived from the shared
     flux, with the bits analyze inverted."""
 
-    @pytest.mark.parametrize("damping", [0.0, 0.25])
-    def test_coefficients_bitwise_equal_flux_over_throughflow(self, three_node_net,
-                                                              damping):
+    def test_coefficients_bitwise_equal_flux_over_throughflow(self, three_node_net):
         for net in stored_cases(three_node_net):
             expected = balance(net)[2]
-            if damping:
-                expected = (1 - damping) * expected
-            got = analyze(net, damping=damping).coefficients
+            got = analyze(net).coefficients
             assert got.dtype == expected.dtype
             assert got.tobytes() == expected.tobytes()
             assert not got.flags.writeable
 
-    @pytest.mark.parametrize("damping", [0.0, 0.25])
-    def test_analysis_owns_no_matrix(self, three_node_net, damping):
+    def test_analysis_owns_no_matrix(self, three_node_net):
+        assert [f.name for f in fields(FlowAnalysis)] == ["throughflow", "source",
+                                                          "impact", "flux"]
         for net in stored_cases(three_node_net):
-            result = analyze(net, damping=damping)
+            result = analyze(net)
             matrices = [f.name for f in fields(result)
                         if np.ndim(getattr(result, f.name)) == 2]
             assert matrices == ["flux"]
             assert np.shares_memory(result.flux, net.flux)
             assert result.n == net.n
 
-    @pytest.mark.parametrize("damping", [0.0, 0.25])
-    def test_fundamental_bitwise_equal_solve_with_identity(self, three_node_net, damping):
+    def test_fundamental_bitwise_equal_solve_with_identity(self, three_node_net):
         for net in stored_cases(three_node_net):
             coeff = balance(net)[2]
-            if damping:
-                coeff = (1 - damping) * coeff
             identity = np.eye(net.n)
             expected = np.linalg.solve(identity - coeff, identity)
-            result = analyze(net, damping=damping)
+            result = analyze(net)
             first, second = result.fundamental, result.fundamental
             assert first is not second
             for fund in (first, second):

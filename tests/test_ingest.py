@@ -52,6 +52,12 @@ class TestParseTrades:
             parse_trades(HEADER + "2000,USA,JPN,7100,-5\n")
         assert err.value.row == 1 and err.value.column == "value"
 
+    def test_infinite_value_in_quoted_file_aborts(self):
+        # the quote sends the text through the row-wise reader
+        with pytest.raises(ParseError, match="not finite: 'inf'") as err:
+            parse_trades(HEADER + '2000,"USA",JPN,7100,5\n2000,USA,JPN,7100,inf\n')
+        assert err.value.row == 2 and err.value.column == "value"
+
     @pytest.mark.parametrize("code", ["U\x00S", "U\x7fS"])
     def test_unprintable_country_aborts(self, code):
         with pytest.raises(ParseError, match="unprintable") as err:

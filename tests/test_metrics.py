@@ -8,6 +8,7 @@ from flowallometry import (AllZero, ComplexityTable, NoMarket, TooFewPoints,
                            TradeTable, ZeroVariance, complexity_table,
                            dominance_share, gini, inequality_report, pearson,
                            prody_all, rca_column)
+from flowallometry.metrics import TOP_K
 
 
 def gini_pairwise(values):
@@ -38,6 +39,11 @@ class TestGini:
     def test_rejects_negatives(self):
         with pytest.raises(ValueError):
             gini([1.0, -1.0])
+
+    @pytest.mark.parametrize("values", [[], [3.0], [[1.0, 2.0], [3.0, 4.0]]])
+    def test_fewer_than_two_values_rejected(self, values):
+        with pytest.raises(ValueError, match="^need a vector of at least 2 values$"):
+            gini(values)
 
     def test_subnormal_values(self):
         assert gini([5e-324, 0.0]) == 0.5
@@ -80,9 +86,19 @@ class TestDominance:
 
 class TestInequalityReport:
     def test_topk_ranked_with_deterministic_ties(self):
-        report = inequality_report(("AAA", "BBB", "CCC", "DDD"),
-                                   [2.0, 5.0, 2.0, 9.0], k=3)
-        assert report.topk == (("DDD", 9.0), ("BBB", 5.0), ("AAA", 2.0))
+        # C09, C10 and C11 tie across the 10th place and are listed in
+        # reverse code order: the ranking keeps ten, the tie going to C09
+        countries = tuple(f"C{i:02d}" for i in range(12))[::-1]
+        impact = [1.0, 1.0, 1.0, 4.0, 5.0, 6.0, 7.0, 8.0, 9.0, 10.0, 11.0, 12.0]
+        report = inequality_report(countries, impact)
+        assert TOP_K == 10
+        assert report.topk == tuple((f"C{i:02d}", 12.0 - i) for i in range(9)) + (
+            ("C09", 1.0),)
+        assert report.dominance == pytest.approx(12.0 / 75.0)
+
+    def test_short_vector_ranks_every_node(self):
+        report = inequality_report(("AAA", "BBB", "CCC", "DDD"), [2.0, 5.0, 2.0, 9.0])
+        assert report.topk == (("DDD", 9.0), ("BBB", 5.0), ("AAA", 2.0), ("CCC", 2.0))
         assert report.dominance == pytest.approx(9.0 / 18.0)
 
     @pytest.mark.parametrize("impact", [[1.0, 2.0, 3.0], [1.0]])
@@ -90,15 +106,9 @@ class TestInequalityReport:
         with pytest.raises(ValueError, match="differ in length"):
             inequality_report(["AAA", "BBB"], impact)
 
-    @pytest.mark.parametrize("k", [-1, 2.5, True])
-    def test_bad_k_rejected(self, k):
-        with pytest.raises(ValueError, match=f"^k must be an integer >= 0, got {k}$"):
-            inequality_report(["AAA", "BBB", "CCC"], [1.0, 2.0, 3.0], k=k)
-
-    def test_k_zero_gives_empty_ranking(self):
-        report = inequality_report(["AAA", "BBB", "CCC"], [1.0, 2.0, 3.0], k=0)
-        assert report.topk == ()
-        assert report.dominance == pytest.approx(0.5)
+    def test_k_is_not_an_option(self):
+        with pytest.raises(TypeError):
+            inequality_report(["AAA", "BBB", "CCC"], [1.0, 2.0, 3.0], k=2)
 
 
 def toy_table(gdp=None):
@@ -189,6 +199,18 @@ class TestPrody:
         with pytest.raises(ValueError, match="no gdp_percap"):
             prody_all(toy_table())
 
+    @pytest.mark.parametrize("exports", [[[1e308, 1e308], [5.0, 0.0]],
+                                         [[1e308, 0.0], [1e308, 5.0]]],
+                             ids=["country_total", "product_total"])
+    def test_overflowing_export_total_raises(self, exports):
+        # each cell is finite; a row or column total is not
+        table = ComplexityTable(("C1", "C2"), ("P1", "P2"), np.array(exports),
+                                np.array([1000.0, 2000.0]))
+        with pytest.raises(ValueError, match="^an export total exceeds the float range$"):
+            prody_all(table)
+        with pytest.raises(ValueError, match="exceeds the float range"):
+            rca_column(table, "P1")
+
 
 class TestPearson:
     def test_perfect_linear(self):
@@ -208,6 +230,12 @@ class TestPearson:
         with pytest.raises(TooFewPoints):
             pearson([1, 2], [3, 4])
 
+    @pytest.mark.parametrize("x,y", [([1, 2, 3], [1, 2, 3, 4]),
+                                     ([[1, 2], [3, 4]], [[1, 2], [3, 4]])])
+    def test_mismatched_or_nonvector_shapes_rejected(self, x, y):
+        with pytest.raises(ValueError, match="^vectors must share one dimension$"):
+            pearson(x, y)
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=30)
@@ -218,6 +246,17 @@ class TestPearson:
 
 
 class TestComplexityTable:
+    @pytest.mark.parametrize("exports,gdp,message", [
+        ([[1.0, 2.0]], None, "exports shape does not match country/product lists"),
+        ([[1.0, -2.0], [0.0, 1.0]], None, "exports must be finite and nonnegative"),
+        ([[1.0, 2.0], [0.0, 1.0]], [1000.0], "gdp_percap length does not match countries"),
+        ([[1.0, 2.0], [0.0, 1.0]], [1000.0, 0.0], "gdp_percap must be finite and positive"),
+    ], ids=["shape", "negative_export", "gdp_length", "gdp_not_positive"])
+    def test_constructor_rejects(self, exports, gdp, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ComplexityTable(("C1", "C2"), ("P1", "P2"), np.array(exports),
+                            None if gdp is None else np.array(gdp))
+
     def test_from_records(self):
         trades = TradeTable.from_rows([
             (2000, "USA", "JPN", "7100", 5.0),

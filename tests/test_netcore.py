@@ -73,6 +73,16 @@ class TestFlowNetwork:
         with pytest.raises(NegativeFlow):
             FlowNetwork(["AAA", "BBB"], [[0, -1], [0, 0]], "1", 2000)
 
+    def test_rejects_duplicate_nodes(self):
+        with pytest.raises(ValueError, match="^duplicate nodes$"):
+            FlowNetwork(["AAA", "aaa"], [[0, 1], [0, 0]], "1", 2000)
+
+    @pytest.mark.parametrize("flux", [[[0, 1, 0], [0, 0, 0]], [0, 1, 0, 0]],
+                             ids=["rows", "flat"])
+    def test_rejects_flux_of_wrong_shape(self, flux):
+        with pytest.raises(ValueError, match=r"^flux shape \(.*\) does not match 2 nodes$"):
+            FlowNetwork(["AAA", "BBB"], flux, "1", 2000)
+
     def test_names_checked_once_per_distinct_name(self, monkeypatch):
         calls = []
         monkeypatch.setattr(netcore, "country_id",
@@ -105,6 +115,10 @@ class TestFlowNetwork:
             [("AAA", "BBB", 1.0), ("AAA", "BBB", 1.0), ("AAA", "BBB", 1e16)])
         assert forward.flux.tobytes() == backward.flux.tobytes()
         assert forward.flux[0, 1] == 1e16 + 2.0
+
+    def test_from_edges_infinite_weight_raises(self):
+        with pytest.raises(ValueError, match="^aggregated trade value exceeds the float range$"):
+            FlowNetwork.from_edges([("AAA", "BBB", 1.0), ("BBB", "CCC", float("inf"))])
 
     def test_from_edges_overflowing_pair_raises(self):
         with warnings.catch_warnings():
@@ -218,6 +232,10 @@ class TestTradeTable:
         table = self.bare(self.ROWS)
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(table, **{name: column})
+
+    def test_concat_of_no_tables_raises(self):
+        with pytest.raises(ValueError, match="^no tables to concatenate$"):
+            TradeTable.concat([])
 
     @pytest.mark.parametrize("make", [
         lambda rows: parse_trades("year,exporter,importer,product,value\n" + "".join(

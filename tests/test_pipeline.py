@@ -368,6 +368,14 @@ class TestHistogram:
         assert sum(hist.stacks["primary"]) == 0
         assert sum(hist.stacks["manufactured"]) == sum(hist.counts) == 2
 
+    def test_no_rows_rejected(self):
+        with pytest.raises(ValueError, match="^no results to bin$"):
+            histogram([], 0.1)
+
+    def test_unknown_stacking_mode_rejected(self):
+        with pytest.raises(ValueError, match="^unknown stacking mode 'digit'$"):
+            histogram([result_row("1", 1.0)], 0.1, stack_by="digit")
+
     @pytest.mark.parametrize("width", [0.0, -0.1, float("nan"), float("inf"),
                                        float("-inf")])
     def test_bin_width_must_be_finite_and_positive(self, width):
@@ -381,6 +389,15 @@ class TestHistogram:
         hist = histogram(rows, 0.07, stack_by="prefix")
         stacked = np.sum([hist.stacks[g] for g in hist.stacks], axis=0)
         assert tuple(stacked) == hist.counts
+
+
+@pytest.mark.parametrize("call", [
+    lambda t: build_network(t, ALL, 2000, 5), lambda t: batch(t, 2000, 5),
+    lambda t: complexity_table(t, 2000, 5), lambda t: timeseries(t, 5),
+], ids=["build_network", "batch", "complexity_table", "timeseries"])
+def test_digit_level_past_four_rejected(call):
+    with pytest.raises(ValueError, match="^digit level must be in 1..4, got 5$"):
+        call(corpus(2000))
 
 
 class TestTimeseries:
@@ -398,6 +415,10 @@ class TestTimeseries:
         assert series["5"][1999] is not None
         assert series["5"][2000] is None
         assert series["1"][1999] is None
+
+    def test_no_years_rejected(self):
+        with pytest.raises(ValueError, match="^no years requested$"):
+            timeseries(corpus(2000), 1, years=[])
 
     def test_single_year_is_fine(self):
         series = timeseries(corpus(2000), 1, min_countries=3)
