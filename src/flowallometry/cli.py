@@ -47,53 +47,35 @@ MAX_YEARS = 10_000
 # document rendering
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _render(args, params: dict, doc: dict, lines: list[str]) -> str:
+    """One run's output with its metadata block, the one place either is
+    written.  The block names the tool, the command, ``params`` followed by
+    ``--min-flow`` and ``--format`` where the subcommand takes them, and the
+    conventions.  JSON is ``doc`` with the block last, as ``meta``; any
+    other format is the text ``lines``, then the block as a footer whose
+    lines start ``//`` for DOT and ``#`` otherwise."""
+    params = {**params, **{name: getattr(args, name)
+                           for name in ("min_flow", "format") if name in args}}
+    meta = {"tool": "flowallometry", "version": __version__,
+            "command": args.command, "parameters": params,
+            "conventions": CONVENTIONS}
+    fmt = getattr(args, "format", None)
+    if fmt == "json":
+        return json.dumps({**doc, "meta": meta}, indent=2, ensure_ascii=False) + "\n"
+    prefix = "//" if fmt == "dot" else "#"
+    footer = [f"{prefix} tool: flowallometry {__version__}",
+              f"{prefix} command: {args.command}",
+              *(f"{prefix} parameter {k}: {v}" for k, v in params.items()),
+              *(f"{prefix} convention {k}: {v}" for k, v in CONVENTIONS.items())]
+    return "\n".join([*lines, *footer]) + "\n"
 
 
-def _meta(args, params: dict) -> dict:
-    """The metadata block of one run: ``params``, then ``--min-flow`` and
-    ``--format`` where the subcommand takes them."""
-    params = dict(params)
-    for name in ("min_flow", "format"):
-        if name in args:
-            params[name] = getattr(args, name)
-    return {
-        "tool": "flowallometry",
-        "version": __version__,
-        "command": args.command,
-        "parameters": params,
-        "conventions": CONVENTIONS,
-    }
-
-
-def _render_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
-
-
-def _footer(meta: dict, prefix: str) -> list[str]:
-    lines = [f"{prefix} tool: {meta['tool']} {meta['version']}",
-             f"{prefix} command: {meta['command']}"]
-    lines.extend(f"{prefix} parameter {k}: {v}" for k, v in meta["parameters"].items())
-    lines.extend(f"{prefix} convention {k}: {v}" for k, v in meta["conventions"].items())
-    return lines
-
-
-def _emit(args, params: dict, doc: dict, header: list[str], rows, comments=()) -> str:
-    """Render one run as ``doc`` plus its metadata (JSON), or as ``header``
-    and ``rows``, then ``comments``, then the ``#`` footer (CSV)."""
-    meta = _meta(args, params)
-    if args.format == "json":
-        return _render_json({**doc, "meta": meta})
-    lines = [",".join(header)]
-    lines.extend(",".join(_fmt(v) for v in row) for row in rows)
-    lines.extend(comments)
-    lines.extend(_footer(meta, "#"))
-    return "\n".join(lines) + "\n"
+def _csv(header: list[str], rows, comments=()) -> list[str]:
+    """CSV lines: ``header``, one line per row (None as an empty field),
+    then the ``comments``."""
+    return [",".join(header),
+            *(",".join("" if v is None else str(v) for v in row) for row in rows),
+            *comments]
 
 
 # ---------------------------------------------------------------------------
@@ -162,9 +144,9 @@ def cmd_analyze(args) -> str:
     # CSV: one row per node, the scalar summary repeated on each
     summary = [k for k in doc if k not in ("topk", "nodes")]
     rows = [[*(doc[k] for k in summary), *node.values()] for node in doc["nodes"]]
-    return _emit(args, {"product": args.product, "year": args.year,
-                        "digits": args.digits},
-                 doc, [*summary, *doc["nodes"][0]], rows)
+    return _render(args, {"product": args.product, "year": args.year,
+                          "digits": args.digits},
+                   doc, _csv([*summary, *doc["nodes"][0]], rows))
 
 
 def cmd_batch(args) -> str:
@@ -180,10 +162,10 @@ def cmd_batch(args) -> str:
                        for s in outcome.skipped]}
     rows = [[r.product, r.eta, r.stderr, r.r2, r.gini, r.dominance,
              r.n_countries] for r in ordered]
-    return _emit(args, {"year": args.year, "digits": args.digits,
-                        "min_countries": args.min_countries},
-                 doc, ["code", "eta", "stderr", "r2", "gini", "dominance", "n"],
-                 rows, [f"# skipped {s.product}: {s.reason}" for s in outcome.skipped])
+    return _render(args, {"year": args.year, "digits": args.digits,
+                          "min_countries": args.min_countries},
+                   doc, _csv(["code", "eta", "stderr", "r2", "gini", "dominance", "n"], rows,
+                             [f"# skipped {s.product}: {s.reason}" for s in outcome.skipped]))
 
 
 def cmd_timeseries(args) -> str:
@@ -201,10 +183,10 @@ def cmd_timeseries(args) -> str:
                       for code, by_year in series.items()]}
     rows = [[code, yr, by_year[yr]]
             for code, by_year in series.items() for yr in all_years]
-    return _emit(args, {"digits": args.digits,
-                        "years": ",".join(map(str, all_years)),
-                        "min_countries": args.min_countries},
-                 doc, ["product", "year", "eta"], rows)
+    return _render(args, {"digits": args.digits,
+                          "years": ",".join(map(str, all_years)),
+                          "min_countries": args.min_countries},
+                   doc, _csv(["product", "year", "eta"], rows))
 
 
 def cmd_prody(args) -> str:
@@ -213,8 +195,8 @@ def cmd_prody(args) -> str:
     values = metrics.prody_all(table)
     doc = {"year": args.year, "digits": args.digits,
            "products": [{"product": p, "prody": v} for p, v in values.items()]}
-    return _emit(args, {"year": args.year, "digits": args.digits},
-                 doc, ["product", "prody"], values.items())
+    return _render(args, {"year": args.year, "digits": args.digits},
+                   doc, _csv(["product", "prody"], values.items()))
 
 
 def cmd_correlate(args) -> str:
@@ -237,46 +219,43 @@ def cmd_correlate(args) -> str:
                                              exclusions=exclusions)
     doc = {"r": r, "n_pairs": len(pairs), "excluded": sorted(exclusions),
            "pairs": [{"product": p, "eta": e, "value": v} for p, e, v in pairs]}
-    return _emit(args, {"year": args.year, "digits": args.digits,
-                        "min_countries": args.min_countries,
-                        "column": column_name,
-                        "excluded": ",".join(sorted(exclusions))},
-                 doc, ["product", "eta", "value"], pairs,
-                 [f"# pearson_r: {r!r}", f"# n_pairs: {len(pairs)}"])
+    return _render(args, {"year": args.year, "digits": args.digits,
+                          "min_countries": args.min_countries,
+                          "column": column_name,
+                          "excluded": ",".join(sorted(exclusions))},
+                   doc, _csv(["product", "eta", "value"], pairs,
+                             [f"# pearson_r: {r!r}", f"# n_pairs: {len(pairs)}"]))
 
 
 def cmd_backbone(args) -> str:
     net = build_network(_read_trades(args.input), args.product, args.year,
                         args.digits, min_flow=args.min_flow)
     bone = extract(net, args.alpha)
-    meta = _meta(args, {"product": args.product, "year": args.year,
-                        "digits": args.digits, "alpha": args.alpha})
     nodes = [{"id": code, "role": bone.roles[code], "size": bone.sizes[code]}
              for code in net.nodes]
     position = {code: i for i, code in enumerate(net.nodes)}
     links = [{"source": s, "target": t,
               "weight": float(net.flux[position[s], position[t]])}
              for s, t in sorted(bone.kept)]
-    if args.format == "json":
-        return _render_json({"directed": True, "alpha": args.alpha,
-                             "nodes": nodes, "links": links, "meta": meta})
-
-    max_size = max(node["size"] for node in nodes)
-    max_weight = max(link["weight"] for link in links)
-    lines = ["digraph backbone {",
-             '  node [shape=circle, style=filled, fixedsize=true];']
-    for node in nodes:
-        color = "lightskyblue" if node["role"] == "exporter" else "darkorange"
-        width = 0.3 + 1.2 * math.sqrt(node["size"] / max_size)
-        lines.append(f'  "{node["id"]}" [width={width!r}, fillcolor="{color}", '
-                     f'tooltip="{node["role"]}, volume {node["size"]!r}"];')
-    for link in links:
-        penwidth = 0.5 + 4.5 * link["weight"] / max_weight
-        lines.append(f'  "{link["source"]}" -> "{link["target"]}" '
-                     f'[penwidth={penwidth!r}];')
-    lines.append("}")
-    lines.extend(_footer(meta, "//"))
-    return "\n".join(lines) + "\n"
+    doc = {"directed": True, "alpha": args.alpha, "nodes": nodes, "links": links}
+    lines = []
+    if args.format == "dot":
+        max_size = max(node["size"] for node in nodes)
+        max_weight = max(link["weight"] for link in links)
+        lines = ["digraph backbone {",
+                 '  node [shape=circle, style=filled, fixedsize=true];']
+        for node in nodes:
+            color = "lightskyblue" if node["role"] == "exporter" else "darkorange"
+            width = 0.3 + 1.2 * math.sqrt(node["size"] / max_size)
+            lines.append(f'  "{node["id"]}" [width={width!r}, fillcolor="{color}", '
+                         f'tooltip="{node["role"]}, volume {node["size"]!r}"];')
+        for link in links:
+            penwidth = 0.5 + 4.5 * link["weight"] / max_weight
+            lines.append(f'  "{link["source"]}" -> "{link["target"]}" '
+                         f'[penwidth={penwidth!r}];')
+        lines.append("}")
+    return _render(args, {"product": args.product, "year": args.year,
+                          "digits": args.digits, "alpha": args.alpha}, doc, lines)
 
 
 def cmd_synth(args) -> str:
@@ -288,13 +267,12 @@ def cmd_synth(args) -> str:
         weight = float(weight)
     spec = SynthSpec(args.kind, args.n, weight, args.density,
                      args.back_density, args.seed)
-    net = generate(spec, year=args.year)
-    text = write_trades(to_table(net, product=args.product, year=args.year))
-    meta = _meta(args, {"kind": args.kind, "n": args.n,
-                        "weight": args.weight, "density": args.density,
-                        "back_density": args.back_density, "seed": args.seed,
-                        "product": args.product, "year": args.year})
-    return text + "\n".join(_footer(meta, "#")) + "\n"
+    text = write_trades(to_table(generate(spec), product=args.product, year=args.year))
+    return _render(args, {"kind": args.kind, "n": args.n,
+                          "weight": args.weight, "density": args.density,
+                          "back_density": args.back_density, "seed": args.seed,
+                          "product": args.product, "year": args.year},
+                   {}, text.splitlines())
 
 
 # ---------------------------------------------------------------------------

@@ -195,8 +195,11 @@ class TradeTable:
 
     Construction raises ValueError naming the column for columns of
     unequal length, an id outside its roster, or a roster that is not
-    sorted and distinct; and ValueError or NegativeFlow naming the first
-    row whose value is not finite and nonnegative.  The columns are then
+    sorted and distinct; ValueError naming the roster for an entry that
+    ``country_id`` or ``product_code`` would reject or change, since
+    ``write_trades`` could not write it back; and ValueError or
+    NegativeFlow naming the first row whose value is not finite and
+    nonnegative.  The columns are then
     marked read-only, so a table cannot change under later analyses.
     """
 
@@ -209,9 +212,16 @@ class TradeTable:
     value: np.ndarray        # float64
 
     def __post_init__(self):
-        for name in ("countries", "products"):
-            if any(a >= b for a, b in pairwise(getattr(self, name))):
+        for name, check in (("countries", country_id), ("products", product_code)):
+            roster = getattr(self, name)
+            if any(a >= b for a, b in pairwise(roster)):
                 raise ValueError(f"roster {name} is not sorted and distinct")
+            for code in roster:
+                try:
+                    if check(code) != code:
+                        raise ValueError(f"{code!r} is not in canonical form")
+                except ValueError as exc:
+                    raise ValueError(f"roster {name}: {exc}") from None
         rows = len(self.value)
         for name, size in (("year", None), ("exporter", len(self.countries)),
                            ("importer", len(self.countries)), ("product", len(self.products))):
@@ -239,8 +249,12 @@ class TradeTable:
         years, exporters, importers, codes, values = list(zip(*rows, strict=True)) or [()] * 5
         countries, (exporter, importer) = _intern(country_id, exporters, importers)
         products, (product,) = _intern(product_code, codes)
-        return cls(countries, products, np.array(years, dtype=np.int64),
-                   exporter, importer, product, np.array(values, dtype=float))
+        try:
+            year = np.array(years, dtype=np.int64)
+        except OverflowError:
+            raise ValueError("a year is outside the 64-bit integer range") from None
+        return cls(countries, products, year, exporter, importer, product,
+                   np.array(values, dtype=float))
 
     @classmethod
     def concat(cls, tables: Sequence[TradeTable]) -> TradeTable:
@@ -371,9 +385,10 @@ def _select(table: TradeTable, year: int, digit_level: int, product: str | None 
 
     ``product`` is a code of that digit level, ``ALL`` (every row), or None
     (every row, for callers that group by product).  A code or ``ALL``
-    matching no row raises EmptySelection.  Warns about the self-loops among
-    the rows drawn on and, unless the request is ``ALL``, about the year's
-    codes shorter than the digit level.
+    matching no row raises EmptySelection, and so does None for a year
+    without rows; a year of only self-loops is not empty.  Warns about the
+    self-loops among the rows drawn on and, unless the request is ``ALL``,
+    about the year's codes shorter than the digit level.
     """
     keep = table.year == year
     exporter, importer, code, value = (column[keep] for column in (
@@ -382,6 +397,8 @@ def _select(table: TradeTable, year: int, digit_level: int, product: str | None 
     ids, (code,) = _positions(len(table.products), code)
     groups, position = _product_groups([table.products[i] for i in ids.tolist()], digit_level)
     group = position[code]
+    if product is None and not len(value):
+        raise EmptySelection(f"no records for year {year}")
     if product is None or product == ALL:
         drawn = np.ones(len(value), dtype=bool)
     elif product in groups:

@@ -24,6 +24,9 @@ from .netcore import build_network, enumerate_products  # noqa: F401
 
 PRIMARY_PREFIXES = frozenset("01234")
 
+#: Most bins a ``histogram`` may span.
+MAX_BINS = 10_000
+
 
 @dataclass(frozen=True)
 class ProductResult:
@@ -81,9 +84,6 @@ def batch(table: TradeTable, year: int, digit_level: int,
         raise ValueError(f"min_countries must be at least 3, got {min_countries}")
     _check_min_flow(min_flow)
     groups, group, exporter, importer, value = _select(table, year, digit_level)
-    # A year of only self-loops still gives its skip list.
-    if not len(value) and not (table.year == year).any():
-        raise EmptySelection(f"no records for year {year}")
     coded = group >= 0
     (code, src, dst), totals = _cells([group[coded], exporter[coded], importer[coded]],
                                       value[coded])
@@ -130,7 +130,8 @@ def histogram(results: Iterable[ProductResult], bin_width: float,
     (primary = prefixes 0-4, manufactured = 5-9); every stack group is
     emitted even when empty and group counts sum to the totals.  Bins are
     anchored at the largest multiple of the width not above the smallest
-    exponent.
+    exponent.  ValueError if the bins would number more than ``MAX_BINS``
+    or their indices pass 2**53, where a float stops holding every integer.
     """
     rows = list(results)
     if not rows:
@@ -143,7 +144,14 @@ def histogram(results: Iterable[ProductResult], bin_width: float,
     etas = np.array([r.eta for r in rows])
     # Bin in index space so multiples of the width land on their own left
     # edge despite division rounding (0.7/0.05 floors to 13 otherwise).
-    raw = np.floor(etas / bin_width + 1e-9).astype(int)
+    with np.errstate(over="ignore"):
+        raw = np.floor(etas / bin_width + 1e-9)
+    # Checked before the int cast and before any bin is allocated.
+    if not (np.abs(raw).max() < 2**53 and raw.max() - raw.min() < MAX_BINS):
+        raise ValueError(f"bin width {bin_width} is too fine for these exponents: "
+                         f"it needs more than {MAX_BINS} bins or bin indices "
+                         f"beyond 2**53")
+    raw = raw.astype(int)
     first = int(raw.min())
     indices = raw - first
     n_bins = int(indices.max()) + 1

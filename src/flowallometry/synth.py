@@ -60,38 +60,37 @@ def _codes(n: int) -> list[str]:
     return [f"N{i:04d}" for i in range(n)]
 
 
-def generate(spec: SynthSpec, product: str = ALL, year: int = 2000) -> FlowNetwork:
-    """Build the network described by ``spec``; identical specs yield
-    identical networks."""
+def generate(spec: SynthSpec) -> FlowNetwork:
+    """Build the network described by ``spec``, as product ``ALL`` of year
+    2000; identical specs yield identical networks."""
     spec.validate()
     builder = {"star": _star, "chain": _chain,
                "random_tree": _random_tree, "random_flow": _random_flow}[spec.kind]
     flux = builder(spec)
-    return FlowNetwork(_codes(spec.n), flux, product, year)
+    return FlowNetwork(_codes(spec.n), flux, ALL, 2000)
 
 
-def star(n: int, weight: float = 1.0, **kwargs) -> FlowNetwork:
+def star(n: int, weight: float = 1.0) -> FlowNetwork:
     """Root exporting ``weight`` to each of n - 1 leaves."""
-    return generate(SynthSpec("star", n, weight), **kwargs)
+    return generate(SynthSpec("star", n, weight))
 
 
-def chain(n: int, weight: float = 1.0, **kwargs) -> FlowNetwork:
+def chain(n: int, weight: float = 1.0) -> FlowNetwork:
     """Directed path 0 -> 1 -> ... -> n-1 with uniform weight."""
-    return generate(SynthSpec("chain", n, weight), **kwargs)
+    return generate(SynthSpec("chain", n, weight))
 
 
 def random_tree(n: int, weight: float | tuple[float, float] = 1.0,
-                seed: int = 0, **kwargs) -> FlowNetwork:
+                seed: int = 0) -> FlowNetwork:
     """Uniformly random recursive tree with parent-to-child edges."""
-    return generate(SynthSpec("random_tree", n, weight, seed=seed), **kwargs)
+    return generate(SynthSpec("random_tree", n, weight, seed=seed))
 
 
 def random_flow(n: int, density: float = 0.3,
                 weight: float | tuple[float, float] = (1.0, 100.0),
-                back_density: float = 0.0, seed: int = 0, **kwargs) -> FlowNetwork:
+                back_density: float = 0.0, seed: int = 0) -> FlowNetwork:
     """Random weighted flow network; acyclic unless ``back_density`` > 0."""
-    return generate(SynthSpec("random_flow", n, weight, density, back_density, seed),
-                    **kwargs)
+    return generate(SynthSpec("random_flow", n, weight, density, back_density, seed))
 
 
 def _star(spec: SynthSpec) -> np.ndarray:

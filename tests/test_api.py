@@ -2,6 +2,7 @@
 addition is deliberate."""
 
 import ast
+import inspect
 from pathlib import Path
 
 import flowallometry as fa
@@ -46,3 +47,15 @@ def test_every_name_the_benchmark_calls_resolves():
              and node.value.id == "fa"}
     assert {"parse_trades", "parse_attributes", "batch", "analyze"} <= names
     assert sorted(names - set(fa.__all__)) == []
+
+
+def test_synth_signatures_are_pinned():
+    """Generated networks are product ``ALL`` of 2000; ``to_table`` sets both."""
+    assert list(inspect.signature(fa.generate).parameters) == ["spec"]
+    assert {name: list(inspect.signature(getattr(fa, name)).parameters)
+            for name in ("star", "chain", "random_tree", "random_flow")} == {
+        "star": ["n", "weight"], "chain": ["n", "weight"],
+        "random_tree": ["n", "weight", "seed"],
+        "random_flow": ["n", "density", "weight", "back_density", "seed"]}
+    net = fa.generate(fa.SynthSpec("star", 3))
+    assert (net.product, net.year) == (fa.ALL, 2000)

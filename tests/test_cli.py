@@ -357,6 +357,20 @@ class TestExitCodes:
             "flowallometry: error: an export total exceeds the float range\n")
 
 
+    def test_prody_of_a_year_without_records_is_one(self, tmp_path, capsys):
+        code, text = run(tmp_path, "prody", "--input", CORPUS4, "--year", "1999",
+                         "--gdp", GDP7)
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == "flowallometry: error: no records for year 1999\n"
+
+    def test_synth_year_past_int64_is_one(self, tmp_path, capsys):
+        code, text = run(tmp_path, "synth", "star", "--n", "3",
+                         "--year", "100000000000000000000")
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "flowallometry: error: a year is outside the 64-bit integer range\n")
+
+
 class TestSynthCommand:
     def test_star_five_emits_four_rows(self, tmp_path):
         code, text = run(tmp_path, "synth", "star", "--n", "5")

@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from flowallometry import (AllZero, ComplexityTable, NoMarket, TooFewPoints,
-                           TradeTable, ZeroVariance, complexity_table,
-                           dominance_share, gini, inequality_report, pearson,
-                           prody_all, rca_column)
+from flowallometry import (AllZero, ComplexityTable, EmptySelection, NoMarket,
+                           TooFewPoints, TradeTable, ZeroVariance,
+                           complexity_table, dominance_share, gini,
+                           inequality_report, pearson, prody_all, rca_column)
 from flowallometry.metrics import TOP_K
 
 
@@ -269,6 +269,11 @@ class TestComplexityTable:
         assert table.products == ("01", "71")
         assert table.exports[table.countries.index("USA"),
                              table.products.index("71")] == 10.0
+
+    def test_year_without_records_is_an_empty_selection(self):
+        trades = TradeTable.from_rows([(2000, "USA", "JPN", "7100", 5.0)])
+        with pytest.raises(EmptySelection, match="^no records for year 1999$"):
+            complexity_table(trades, 1999, 2)
 
     def test_missing_gdp_rejected(self):
         trades = TradeTable.from_rows([(2000, "USA", "JPN", "7100", 5.0)])

@@ -225,13 +225,28 @@ class TestTradeTable:
         ("countries", ("CAN", "JPN", "USA", "MEX"), "roster countries is not sorted"),
         ("countries", ("CAN", "JPN", "JPN", "USA"), "roster countries is not sorted"),
         ("products", ("7101", "7100"), "roster products is not sorted"),
+        # rosters write_trades could not write back
+        ("countries", ("A B", "C,D", "MEX", "USA"),
+         "^roster countries: country code contains whitespace: 'A B'$"),
+        ("countries", ("C,D", "JPN", "MEX", "USA"),
+         "^roster countries: country code contains a comma or a double quote: 'C,D'$"),
+        ("countries", ("CAN", "JPN", "MEX", "usa"),
+         "^roster countries: 'usa' is not in canonical form$"),
+        ("products", ("12345", "7100"),
+         "^roster products: product code must be 1-4 decimal digits: '12345'$"),
+        ("products", (7100, 7101), "^roster products: 7100 is not in canonical form$"),
     ], ids=["short_year", "long_importer", "exporter_past_roster", "negative_importer",
             "product_past_roster", "unsorted_countries", "repeated_country",
-            "unsorted_products"])
+            "unsorted_products", "country_with_whitespace", "country_with_comma",
+            "lowercase_country", "five_digit_product", "product_not_a_string"])
     def test_constructor_rejects_inconsistent_columns(self, name, column, match):
         table = self.bare(self.ROWS)
         with pytest.raises(ValueError, match=match):
             dataclasses.replace(table, **{name: column})
+
+    def test_from_rows_year_past_int64_is_a_value_error(self):
+        with pytest.raises(ValueError, match="^a year is outside the 64-bit integer range$"):
+            TradeTable.from_rows([(10**20, "USA", "JPN", "7100", 1.0)])
 
     def test_concat_of_no_tables_raises(self):
         with pytest.raises(ValueError, match="^no tables to concatenate$"):

@@ -15,7 +15,7 @@ from flowallometry import (ALL, DegenerateFit, EmptySelection, FlowDataWarning,
                            correlate_complexity, enumerate_products, histogram,
                            analyze, prody_all, random_flow,
                            summarize_network, timeseries)
-from flowallometry.pipeline import ProductResult
+from flowallometry.pipeline import MAX_BINS, ProductResult
 from flowallometry.synth import to_table
 
 
@@ -174,8 +174,16 @@ class TestBatch:
         assert table.exports.tobytes() == expected.exports.tobytes()
 
     def test_empty_year(self):
-        with pytest.raises(EmptySelection):
+        with pytest.raises(EmptySelection, match="^no records for year 1980$"):
             batch(corpus(), 1980, 1)
+
+    @pytest.mark.filterwarnings("ignore::flowallometry.FlowDataWarning")
+    def test_year_of_only_self_loops_gives_its_skip_list(self):
+        table = TradeTable.from_rows([(2000, "AAA", "BBB", "1", 1.0),
+                                      (2001, "AAA", "AAA", "1", 2.0)])
+        outcome = batch(table, 2001, 1, min_countries=3)
+        assert outcome.results == [] and outcome.integrated is None
+        assert [s.product for s in outcome.skipped] == ["1", ALL]
 
     def test_min_countries_floor(self):
         with pytest.raises(ValueError):
@@ -381,6 +389,22 @@ class TestHistogram:
     def test_bin_width_must_be_finite_and_positive(self, width):
         with pytest.raises(ValueError, match="finite and positive"):
             histogram([result_row("1", 1.0)], width)
+
+    @pytest.mark.parametrize("rows, width", [
+        ([result_row("1", 1.0), result_row("2", 1.05)], 1e-300),
+        ([result_row("1", 1.0), result_row("2", 1.05)], 1e-12),
+        ([result_row("1", 1.0)], 1e-300),
+        ([result_row("1", 1.0)], 5e-324),
+        ([result_row("1", 0.0), result_row("2", float(MAX_BINS))], 1.0),
+    ], ids=["two_rows_1e-300", "two_rows_1e-12", "one_row_1e-300", "subnormal",
+            "one_bin_past_the_cap"])
+    def test_too_fine_width_rejected_before_binning(self, rows, width):
+        with pytest.raises(ValueError, match=f"^bin width {width} is too fine"):
+            histogram(rows, width)
+
+    def test_bins_up_to_the_cap_accepted(self):
+        hist = histogram([result_row("1", 0.0), result_row("2", MAX_BINS - 1.0)], 1.0)
+        assert len(hist.counts) == MAX_BINS and sum(hist.counts) == 2
 
     def test_stacks_sum_to_totals(self):
         rng = np.random.default_rng(8)
