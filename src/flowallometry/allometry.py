@@ -49,14 +49,17 @@ def fit(thru, impact) -> AllometryFit:
     if not (np.isfinite(thru).all() and np.isfinite(impact).all()):
         raise ValueError("throughflow and impact must be finite")
     positive = (thru > 0) & (impact > 0)
-    n = int(positive.sum())
+    n = int(np.count_nonzero(positive))
     if n < 3:
         raise TooFewPoints(f"need at least 3 strictly positive pairs, have {n}")
-    x = np.log10(thru[positive])
-    y = np.log10(impact[positive])
+    if thru.ndim != 1 or n < len(thru):
+        thru, impact = thru[positive], impact[positive]
+    x = np.log10(thru)
+    y = np.log10(impact)
 
-    x_dev = x - x.mean()
-    y_dev = y - y.mean()
+    # x.sum() / n has the bits of x.mean(), without its dispatch.
+    x_dev = x - x.sum() / n
+    y_dev = y - y.sum() / n
     sxx = float(x_dev @ x_dev)
     if sxx == 0.0:
         raise DegenerateFit("all throughflow values equal; slope undefined")

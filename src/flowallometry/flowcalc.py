@@ -21,6 +21,7 @@ transpose), equivalently T^T = S^T U.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,7 +92,7 @@ def _solve(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
 
 
 def _check_condition(cond: float) -> None:
-    if not np.isfinite(cond) or cond > COND_LIMIT:
+    if not math.isfinite(cond) or cond > COND_LIMIT:
         raise SingularNetwork(
             f"flow balance nearly singular (condition estimate {cond:.3e})")
 
@@ -150,8 +151,8 @@ def analyze(net: FlowNetwork) -> FlowAnalysis:
     """
     thru, src = _balance(net)
     fund = _fundamental(_shares(net.flux, thru))
-    diag = np.diagonal(fund)
-    if np.any(diag <= 0):
+    diag = fund.diagonal()
+    if (diag <= 0).any():
         raise SingularNetwork("fundamental matrix has a nonpositive diagonal")
     impact = (src @ fund) * fund.sum(axis=1) / diag
     return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(impact), net.flux)

@@ -70,23 +70,39 @@ def gini(values) -> float:
     - (n + 1)/n, which equals the pairwise mean-absolute-difference form.
     """
     x = np.asarray(values, dtype=float)
+    total = _gini_total(x)
+    return _gini(np.sort(x), total)
+
+
+def _total(x: np.ndarray) -> float:
+    """The sum of ``x``; ValueError unless every value is finite and nonnegative."""
+    if (x < 0).any() or not np.isfinite(x).all():
+        raise ValueError("values must be finite and nonnegative")
+    return float(x.sum())
+
+
+def _gini_total(x: np.ndarray) -> float:
+    """The sum of ``x`` once it passes ``gini``'s checks, in their order."""
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need a vector of at least 2 values")
-    if np.any(x < 0) or not np.all(np.isfinite(x)):
-        raise ValueError("values must be finite and nonnegative")
-    total = float(x.sum())
+    total = _total(x)
     if total == 0.0:
         raise AllZero("cannot compute GINI of an all-zero vector")
-    n = len(x)
-    ranked = np.sort(x)
+    return total
+
+
+def _gini(ranked: np.ndarray, total: float) -> float:
+    """GINI of the ascending, contiguous ``ranked`` whose sum is ``total``."""
+    n = len(ranked)
     weighted = float(np.arange(1, n + 1) @ ranked)
     return 2.0 * weighted / (n * total) - (n + 1.0) / n
 
 
 def dominance_share(impact) -> float:
-    """Share of total impact held by the single largest node."""
+    """Share of total impact held by the single largest node.  ValueError
+    unless every value is finite and nonnegative."""
     x = np.asarray(impact, dtype=float)
-    total = float(x.sum())
+    total = _total(x)
     if total <= 0.0:
         raise AllZero("impact vector sums to zero")
     return float(x.max()) / total
@@ -100,10 +116,16 @@ def inequality_report(countries: Sequence[str], impact) -> InequalityReport:
     x = np.asarray(impact, dtype=float)
     if x.shape != (len(countries),):
         raise ValueError("countries and impact vectors differ in length")
-    values = x.tolist()
-    order = sorted(range(len(countries)), key=lambda i: (-values[i], countries[i]))
-    top = tuple((countries[i], values[i]) for i in order[:TOP_K])
-    return InequalityReport(gini(x), dominance_share(x), top)
+    total = _gini_total(x)
+    # Descending impact, ties by country: a stable sort by impact of the nodes
+    # in country order.  Reversed, it is ascending for GINI; equal values such
+    # as 0.0 and -0.0 may then sit as np.sort would not, which changes no bit.
+    by_name = np.fromiter(sorted(range(len(x)), key=countries.__getitem__), np.intp, len(x))
+    order = by_name[(-x[by_name]).argsort(kind="stable")]
+    top = order[:TOP_K].tolist()
+    values = x[top].tolist()
+    return InequalityReport(_gini(x[order[::-1]], total), values[0] / total,
+                            tuple(zip([countries[i] for i in top], values)))
 
 
 def _share_matrix(table: ComplexityTable) -> np.ndarray:
@@ -154,11 +176,13 @@ def prody_all(table: ComplexityTable) -> dict[str, float]:
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation of two equal-length vectors."""
+    """Sample Pearson correlation of two equal-length, finite vectors."""
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
         raise ValueError("vectors must share one dimension")
+    if not (np.isfinite(a).all() and np.isfinite(b).all()):
+        raise ValueError("vectors must be finite")
     if len(a) < 3:
         raise TooFewPoints(f"need at least 3 points, have {len(a)}")
     a_dev = a - a.mean()

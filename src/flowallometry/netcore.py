@@ -13,7 +13,7 @@ import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache, reduce
-from itertools import accumulate, pairwise
+from itertools import accumulate, pairwise, starmap
 from operator import add
 
 import numpy as np
@@ -80,17 +80,6 @@ def _check_min_flow(min_flow: float) -> None:
 _NOT_FINITE = "aggregated trade value exceeds the float range"
 
 
-def cell_total(values: Sequence[float]) -> float:
-    """Exactly rounded, order-free sum of one cell; ValueError if not finite."""
-    try:
-        total = math.fsum(values)
-    except OverflowError:
-        total = math.inf
-    if not math.isfinite(total):
-        raise ValueError(_NOT_FINITE)
-    return total
-
-
 def _totals(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray, bool]:
     """Row and column sums, and whether all are finite; an overflow is inf, silently."""
     with np.errstate(over="ignore", invalid="ignore"):
@@ -113,9 +102,9 @@ class FlowNetwork:
     __slots__ = ("nodes", "flux", "outflow", "inflow", "product", "year")
 
     def __init__(self, nodes: Sequence[str], flux, product: str, year: int):
-        # From a list: a tuple built from a generator grows by reallocation,
+        # From a list: a tuple built from an iterator grows by reallocation,
         # which fragments the heap over a batch of hundreds of networks.
-        nodes = tuple([_node_id(c) for c in nodes])
+        nodes = tuple(list(map(_node_id, nodes)))
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate nodes")
         # C-ordered whatever the input's layout, so the sums have one set of bits.
@@ -126,15 +115,18 @@ class FlowNetwork:
         outflow, inflow, finite = _totals(matrix)
         if not finite and not np.isfinite(matrix).all():
             raise ValueError("flux entries must be finite")
-        if np.any(matrix < 0):
+        # Every entry is finite here, so the least one has the sign to check.
+        if n and matrix.min() < 0:
             raise NegativeFlow("flux entries must be nonnegative")
-        if np.any(np.diagonal(matrix) != 0):
+        if matrix.diagonal().any():
             raise ValueError("flux diagonal must be zero (self-trade excluded)")
 
-        active = (outflow > 0) | (inflow > 0)
-        if not active.any():
-            raise EmptySelection("network has no nonzero flows")
-        if not active.all():
+        # Active nodes have a positive larger total; all are in a built network.
+        larger = np.maximum(outflow, inflow)
+        if not (n and larger.min() > 0):
+            active = larger > 0
+            if not active.any():
+                raise EmptySelection("network has no nonzero flows")
             keep = np.flatnonzero(active)
             nodes = tuple(nodes[i] for i in keep)
             matrix = matrix[np.ix_(keep, keep)]
@@ -245,7 +237,8 @@ class TradeTable:
     @classmethod
     def from_rows(cls, rows: Iterable[tuple]) -> TradeTable:
         """The table of ``(year, exporter, importer, product, value)`` rows;
-        codes go through ``country_id`` and ``product_code``."""
+        codes go through ``country_id`` and ``product_code``, and a year
+        that is not an integer, such as 2000.7, raises ValueError."""
         years, exporters, importers, codes, values = list(zip(*rows, strict=True)) or [()] * 5
         countries, (exporter, importer) = _intern(country_id, exporters, importers)
         products, (product,) = _intern(product_code, codes)
@@ -253,6 +246,10 @@ class TradeTable:
             year = np.array(years, dtype=np.int64)
         except OverflowError:
             raise ValueError("a year is outside the 64-bit integer range") from None
+        # The cast truncates 2000.7 and parses "2000"; neither equals its int.
+        if year.tolist() != list(years):
+            bad = next(y for y, k in zip(years, year.tolist()) if y != k)
+            raise ValueError(f"a year is not an integer: {bad!r}")
         return cls(countries, products, year, exporter, importer, product,
                    np.array(values, dtype=float))
 
@@ -304,9 +301,10 @@ def _cells(keys: Sequence[np.ndarray], values: np.ndarray) -> tuple[tuple[np.nda
 
     Returns the distinct keys, in lexicographic order, and each cell's
     exactly rounded total: a one-row cell keeps its value, since
-    ``fsum([x]) == x`` (adding 0.0 turns -0.0 into the 0.0 fsum gives), and
-    larger cells go through ``cell_total``.  ValueError if a total is not
-    finite.
+    ``fsum([x]) == x`` (adding 0.0 turns -0.0 into the 0.0 fsum gives), a
+    two-row cell is one correctly rounded addition, which is
+    ``fsum([x, y])``, and larger cells go through ``math.fsum``.
+    ValueError if a total is not finite.
     """
     # One sort of a combined key orders the rows as a lexsort of the columns.
     dims = tuple(int(k.max()) + 1 if len(k) else 1 for k in keys)
@@ -319,13 +317,22 @@ def _cells(keys: Sequence[np.ndarray], values: np.ndarray) -> tuple[tuple[np.nda
     starts = np.flatnonzero(first)
     sizes = np.diff(starts, append=len(flat))
     totals = values[starts] + 0.0
-    multi = sizes > 1
+    pair = sizes == 2
+    if pair.any():
+        head = starts[pair]
+        with np.errstate(over="ignore"):        # an overflow is inf, caught below
+            totals[pair] = values[head] + values[head + 1] + 0.0
+    multi = sizes > 2
     if multi.any():
-        # A memoryview yields each value as a float only while fsum reads it.
+        # A memoryview yields each value as a float only while fsum reads it,
+        # and the maps slice and sum the cells without a Python-level loop.
         members = memoryview(values[np.repeat(multi, sizes)])
         bounds = pairwise(accumulate(sizes[multi].tolist(), initial=0))
-        totals[multi] = np.fromiter((cell_total(members[lo:hi]) for lo, hi in bounds),
-                                    float, np.count_nonzero(multi))
+        cells = map(members.__getitem__, starmap(slice, bounds))
+        try:
+            totals[multi] = np.fromiter(map(math.fsum, cells), float, np.count_nonzero(multi))
+        except OverflowError:       # fsum's intermediate overflow
+            raise ValueError(_NOT_FINITE) from None
     if not np.isfinite(totals).all():
         raise ValueError(_NOT_FINITE)
     return np.unravel_index(flat[starts], dims), totals
@@ -337,8 +344,10 @@ def _positions(size: int, *columns: np.ndarray) -> tuple[np.ndarray, list[np.nda
     present = np.zeros(size, dtype=bool)
     for column in columns:
         present[column] = True
-    position = np.cumsum(present) - 1
-    return np.flatnonzero(present), [position[column] for column in columns]
+    ids = present.nonzero()[0]
+    position = np.empty(size, dtype=np.intp)    # read only at the ids present
+    position[ids] = np.arange(len(ids))
+    return ids, [position[column] for column in columns]
 
 
 def _network(countries: Sequence[str], src: np.ndarray, dst: np.ndarray,
@@ -354,7 +363,7 @@ def _network(countries: Sequence[str], src: np.ndarray, dst: np.ndarray,
     ids, (i, j) = _positions(len(countries), src, dst)
     matrix = np.zeros((len(ids), len(ids)))
     matrix[i, j] = totals
-    return FlowNetwork([countries[k] for k in ids.tolist()], matrix, product, year)
+    return FlowNetwork(list(map(countries.__getitem__, ids.tolist())), matrix, product, year)
 
 
 def _warn_short(group: np.ndarray, digit_level: int, stacklevel: int = 3) -> None:

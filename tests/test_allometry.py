@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 from scipy import stats
 
 from flowallometry import (DegenerateFit, NotATree, TooFewPoints, analyze,
@@ -15,6 +17,27 @@ from flowallometry.netcore import FlowNetwork
 FIXTURE_ETA = 2.5896936467371026
 FIXTURE_STDERR = 0.8660254037844393
 FIXTURE_R2 = 0.8994167942176633
+
+
+def reference_fit(thru, impact):
+    """The fit's formula in its plainest numpy form: the positive pairs by a
+    boolean index, then ``np.mean``; (eta, stderr, r2, n)."""
+    thru, impact = np.asarray(thru, dtype=float), np.asarray(impact, dtype=float)
+    positive = (thru > 0) & (impact > 0)
+    n = int(positive.sum())
+    x, y = np.log10(thru[positive]), np.log10(impact[positive])
+    x_dev, y_dev = x - np.mean(x), y - np.mean(y)
+    sxx, syy = float(x_dev @ x_dev), float(y_dev @ y_dev)
+    slope = float(x_dev @ y_dev) / sxx
+    residual = y_dev - slope * x_dev
+    sse = max(float(residual @ residual), 0.0)
+    r2 = 1.0 if syy == 0.0 else min(max(1.0 - sse / syy, 0.0), 1.0)
+    return slope, math.sqrt(sse / (n - 2) / sxx), r2, n
+
+
+# Mostly positive values, so that many draws have no pair to drop.
+POINTS = st.lists(st.tuples(*[st.one_of(st.floats(1e-300, 1e300), st.sampled_from(
+    [0.0, -0.0, -3.5, 1.0]))] * 2), min_size=3, max_size=40)
 
 
 class TestFit:
@@ -81,6 +104,28 @@ class TestFit:
         assert scaled.eta == pytest.approx(base.eta, rel=1e-12)
         assert scaled.r2 == pytest.approx(base.r2, rel=1e-12)
         assert scaled.classification == base.classification
+
+
+@given(POINTS)
+@example([(1.0, 2.0), (10.0, -0.0), (3.0, 7.0), (0.0, 1.0), (42.0, 5.0), (7.5, 0.25)])
+def test_fit_has_the_bits_of_the_reference_formula(points):
+    thru, impact = np.array(points).T
+    shapes = [thru.shape] + ([(2, len(thru) // 2)] if len(thru) % 2 == 0 else [])
+    n = int(((thru > 0) & (impact > 0)).sum())
+    for shape in shapes:
+        if n < 3:
+            with pytest.raises(TooFewPoints):
+                fit(thru.reshape(shape), impact.reshape(shape))
+            continue
+        try:
+            result = fit(thru.reshape(shape), impact.reshape(shape))
+        except DegenerateFit:
+            assert np.ptp(np.log10(thru[(thru > 0) & (impact > 0)])) == 0.0
+            continue
+        got = (result.eta, result.stderr, result.r2)
+        eta, stderr, r2, count = reference_fit(thru, impact)
+        assert [v.hex() for v in got] == [v.hex() for v in (eta, stderr, r2)]
+        assert result.n == count and type(result.n) is int
 
 
 class TestClassify:

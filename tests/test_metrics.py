@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import assume, example, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -83,6 +83,12 @@ class TestDominance:
         with pytest.raises(AllZero):
             dominance_share([0.0, 0.0])
 
+    @pytest.mark.parametrize("impact", [[-1.0, 2.0], [1.0, np.nan], [1.0, np.inf],
+                                        [np.inf, np.inf], [-np.inf, 1.0]])
+    def test_rejects_negative_or_non_finite(self, impact):
+        with pytest.raises(ValueError, match="^values must be finite and nonnegative$"):
+            dominance_share(impact)
+
 
 class TestInequalityReport:
     def test_topk_ranked_with_deterministic_ties(self):
@@ -109,6 +115,36 @@ class TestInequalityReport:
     def test_k_is_not_an_option(self):
         with pytest.raises(TypeError):
             inequality_report(["AAA", "BBB", "CCC"], [1.0, 2.0, 3.0], k=2)
+
+    @given(st.lists(st.tuples(
+        st.text(st.characters(categories=["L", "N", "P", "S"]), min_size=1, max_size=3),
+        st.one_of(st.sampled_from([0.0, -0.0, 1.0, 2.5, 5e-324]), st.floats(0.0, 1e300))),
+        min_size=2, max_size=40))
+    @example([("B", 1.0), ("A", 1.0), ("C", -0.0), ("A", 0.0), ("D", 2.5), ("A", 1.0)])
+    def test_report_has_the_bits_of_the_reference_ranking_gini_and_dominance(self, rows):
+        # Few distinct names and values, so exact ties in impact, in names
+        # and in both are common; the names come in no particular order.
+        countries = [name for name, _ in rows]
+        values = [value for _, value in rows]
+        impact = np.array(values)
+        assume(impact.sum() > 0)
+        report = inequality_report(countries, impact)
+        order = sorted(range(len(values)), key=lambda i: (-values[i], countries[i]))
+        expected = tuple((countries[i], values[i]) for i in order[:TOP_K])
+        assert report.topk == expected
+        assert [v.hex() for _, v in report.topk] == [v.hex() for _, v in expected]
+        assert report.gini.hex() == gini(impact).hex()
+        assert report.dominance.hex() == dominance_share(impact).hex()
+
+    @pytest.mark.parametrize("impact, error, match", [
+        ([1.0], ValueError, "^need a vector of at least 2 values$"),
+        ([1.0, -1.0], ValueError, "^values must be finite and nonnegative$"),
+        ([1.0, np.nan], ValueError, "^values must be finite and nonnegative$"),
+        ([0.0, 0.0], AllZero, "^cannot compute GINI of an all-zero vector$"),
+    ])
+    def test_rejects_what_gini_rejects(self, impact, error, match):
+        with pytest.raises(error, match=match):
+            inequality_report([f"C{i}" for i in range(len(impact))], impact)
 
 
 def toy_table(gdp=None):
@@ -234,6 +270,13 @@ class TestPearson:
                                      ([[1, 2], [3, 4]], [[1, 2], [3, 4]])])
     def test_mismatched_or_nonvector_shapes_rejected(self, x, y):
         with pytest.raises(ValueError, match="^vectors must share one dimension$"):
+            pearson(x, y)
+
+    @pytest.mark.parametrize("x,y", [([1, 2, np.nan], [1, 2, 3]),
+                                     ([1, 2, 3], [1, np.inf, 3]),
+                                     ([-np.inf, 2, 3], [1, 2, 3])])
+    def test_non_finite_rejected(self, x, y):
+        with pytest.raises(ValueError, match="^vectors must be finite$"):
             pearson(x, y)
 
     def test_affine_invariance(self):

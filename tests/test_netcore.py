@@ -1,9 +1,11 @@
 import dataclasses
+import math
+import re
 import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from flowallometry import netcore
@@ -188,6 +190,35 @@ def test_flux_layout_does_not_change_any_bit(n, density, seed, alpha):
                 == np.maximum(net.inflow, net.outflow).tobytes())
 
 
+# Values a trade table can hold: finite and nonnegative, with -0.0, the
+# smallest subnormal and values whose pairs overflow.
+CELL_VALUES = st.one_of(st.sampled_from([0.0, -0.0, 5e-324, 1.0, 1e308, 1.7e308]),
+                        st.floats(0.0, 1.7e308))
+
+
+@given(st.lists(st.tuples(st.integers(0, 4), st.integers(0, 2), CELL_VALUES), max_size=50))
+@example([(0, 0, -0.0), (0, 0, -0.0), (1, 2, -0.0), (1, 2, -0.0), (1, 2, -0.0)])
+@example([(3, 1, 1e308), (3, 1, 1e308)])
+@example([(0, 1, 1.7e308), (0, 1, 1e308), (0, 1, 1.0)])
+def test_cells_sum_each_cell_as_fsum(rows):
+    members = {}
+    for a, b, value in rows:
+        members.setdefault((a, b), []).append(value)
+    keys = [np.array([r[i] for r in rows], dtype=np.intp) for i in (0, 1)]
+    values = np.array([r[2] for r in rows], dtype=float)
+    try:
+        expected = {key: math.fsum(members[key]) for key in sorted(members)}
+    except OverflowError:
+        expected = None
+    if expected is None or not all(map(math.isfinite, expected.values())):
+        with pytest.raises(ValueError, match="^aggregated trade value exceeds the float range$"):
+            netcore._cells(keys, values)
+        return
+    (a, b), totals = netcore._cells(keys, values)
+    assert list(zip(a.tolist(), b.tolist())) == list(expected)
+    assert [t.hex() for t in totals.tolist()] == [t.hex() for t in expected.values()]
+
+
 class TestTradeTable:
     # The bad row is in 1999; an analysis of 2000 never selects it.
     ROWS = [(2000, "USA", "JPN", "7100", 2.0),
@@ -247,6 +278,16 @@ class TestTradeTable:
     def test_from_rows_year_past_int64_is_a_value_error(self):
         with pytest.raises(ValueError, match="^a year is outside the 64-bit integer range$"):
             TradeTable.from_rows([(10**20, "USA", "JPN", "7100", 1.0)])
+
+    @pytest.mark.parametrize("year", [2000.7, np.float64(1999.5), "2000"])
+    def test_from_rows_rejects_a_year_that_is_not_an_integer(self, year):
+        rows = [(2000, "USA", "JPN", "7100", 1.0), (year, "USA", "JPN", "7100", 1.0)]
+        with pytest.raises(ValueError, match=f"^a year is not an integer: {re.escape(repr(year))}$"):
+            TradeTable.from_rows(rows)
+
+    def test_from_rows_takes_an_integral_float_year(self):
+        table = TradeTable.from_rows([(2000.0, "USA", "JPN", "7100", 1.0)])
+        assert table.year.tolist() == [2000]
 
     def test_concat_of_no_tables_raises(self):
         with pytest.raises(ValueError, match="^no tables to concatenate$"):
