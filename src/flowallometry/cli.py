@@ -19,15 +19,16 @@ import argparse
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 
 from . import __version__, flowcalc, metrics, pipeline
 from .backbone import extract
-from .errors import FlowAnalysisError, SingularNetwork
+from .errors import FlowAnalysisError, FlowDataWarning, SingularNetwork
 from .ingest import (parse_attributes, parse_exclusions, parse_product_column,
                      parse_trades, write_trades)
 from .netcore import ALL, TradeTable, build_network
-from .synth import SynthSpec, generate, to_table
+from .synth import KINDS, SynthSpec, generate, to_table
 
 CONVENTIONS = {
     "log_base": "10",
@@ -210,8 +211,11 @@ def cmd_correlate(args) -> str:
         column = parse_product_column(Path(args.complexity_column))
         column_name = "file"
     else:
-        table = metrics.complexity_table(trades, args.year, args.digits,
-                                         gdp=_read_gdp(args.gdp))
+        # The rows batch drew on, whose dropped rows it has reported.
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", FlowDataWarning)
+            table = metrics.complexity_table(trades, args.year, args.digits,
+                                             gdp=_read_gdp(args.gdp))
         column = metrics.prody_all(table)
         column_name = "prody"
     exclusions = parse_exclusions(Path(args.exclude)) if args.exclude else set()
@@ -342,7 +346,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_backbone)
 
     p = sub.add_parser("synth", help="generate a synthetic fixture CSV")
-    p.add_argument("kind", choices=("star", "chain", "random_tree", "random_flow"))
+    p.add_argument("kind", choices=KINDS)
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--weight", default="1.0", help="W or LO:HI range")
     p.add_argument("--density", type=float, default=0.3)

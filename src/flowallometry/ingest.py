@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .netcore import TradeTable, _node_id, country_id, product_code
+from .netcore import TradeTable, _node_id, _Roster, country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
 ATTRIBUTES_HEADER = ("country", "value")
@@ -127,18 +127,6 @@ def parse_trades(source) -> TradeTable:
 _BLOCK = 1 << 16
 
 
-class _Memo(dict):
-    """``check(key.strip())`` of each distinct key, made at its first lookup."""
-
-    def __init__(self, check):
-        super().__init__()
-        self.check = check
-
-    def __missing__(self, key):
-        self[key] = value = self.check(key.strip())
-        return value
-
-
 def _read_blocks(text: str) -> TradeTable | None:
     """The table of ``text`` read as blocks of lines, or None for text this
     reader does not take.
@@ -148,19 +136,17 @@ def _read_blocks(text: str) -> TradeTable | None:
     CSV size limit.  Each data line must have five fields, and each field
     must pass the checks ``_read_rows`` makes.  Every distinct year, country
     and product string is checked once and given a provisional id; after
-    the last block one remap puts the ids onto the sorted rosters.
+    the last block the year ids become their values, and one remap puts
+    the other ids onto the sorted rosters.
     """
     if '"' in text or "\r" in text or "\0" in text:
         return None
     limit = csv.field_size_limit()
-    country_ids: dict[str, int] = {}  # code -> provisional id
-    product_ids: dict[str, int] = {}
-    country = _Memo(lambda raw: country_ids.setdefault(country_id(raw), len(country_ids)))
-    memos = (_Memo(int), country, country,
-             _Memo(lambda raw: product_ids.setdefault(product_code(raw), len(product_ids))))
+    years, countries, products = (_Roster(lambda raw, check=check: check(raw.strip()))
+                                  for check in (int, country_id, product_code))
+    rosters = (years, countries, countries, products)
     size = text.count("\n") + 1      # at least the number of data lines
-    columns = tuple(np.empty(size, dtype)
-                    for dtype in (np.int64, np.intp, np.intp, np.intp, float))
+    columns = tuple(np.empty(size, dtype) for dtype in (np.intp,) * 4 + (float,))
     header, rows = None, 0
     try:
         for block in _blocks(text):
@@ -177,20 +163,22 @@ def _read_blocks(text: str) -> TradeTable | None:
             if not (np.isfinite(value).all() and (value >= 0).all()):
                 return None
             columns[4][rows:rows + n] = value
-            for k, (column, memo) in enumerate(zip(columns, memos)):
-                column[rows:rows + n] = np.fromiter(map(memo.__getitem__, fields[k::6]),
+            for k, (column, roster) in enumerate(zip(columns, rosters)):
+                column[rows:rows + n] = np.fromiter(map(roster.__getitem__, fields[k::6]),
                                                     column.dtype, n)
             rows += n
+        year_values = np.fromiter(years.codes, np.int64, len(years.codes))
     except (ValueError, OverflowError):      # a bad field, or a year past int64
         return None
     if header is None:
         return None
     year, exporter, importer, product, value = (column[:rows] for column in columns)
     del columns       # so that each remap frees the provisional ids it replaces
-    countries, remap = _roster(country_ids)
+    countries, remap = countries.sorted()
     exporter, importer = remap[exporter], remap[importer]
-    products, remap = _roster(product_ids)
-    return TradeTable(countries, products, year, exporter, importer, remap[product], value)
+    products, remap = products.sorted()
+    return TradeTable(countries, products, year_values[year], exporter, importer,
+                      remap[product], value)
 
 
 def _blocks(text: str):
@@ -229,15 +217,6 @@ def _split(lines: str) -> list[str] | None:
     if len(fields) != 6 * breaks + 5 or fields[5::6].count("\n") != breaks:
         return None
     return fields
-
-
-def _roster(ids: dict[str, int]) -> tuple[tuple[str, ...], np.ndarray]:
-    """The sorted codes of ``ids`` (code -> provisional id, numbered in
-    insertion order), and the array taking each provisional id to the
-    code's position in that roster."""
-    roster = sorted(ids)
-    position = {code: i for i, code in enumerate(roster)}
-    return tuple(roster), np.array([position[code] for code in ids], dtype=np.intp)
 
 
 def _read_rows(text: str) -> TradeTable:

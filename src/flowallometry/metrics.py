@@ -68,41 +68,58 @@ def gini(values) -> float:
 
     Computed via the sorted identity G = 2 sum_i i*x_(i) / (n sum x)
     - (n + 1)/n, which equals the pairwise mean-absolute-difference form.
+    ValueError if a sum it takes exceeds the float range.
     """
     x = np.asarray(values, dtype=float)
-    total = _gini_total(x)
-    return _gini(np.sort(x), total)
+    _check_vector(x)
+    return _gini(x, np.sort(x))[0]
 
 
-def _total(x: np.ndarray) -> float:
-    """The sum of ``x``; ValueError unless every value is finite and nonnegative."""
+_NOT_FINITE = "a sum of the values exceeds the float range"
+#: A bound on a sum's terms below which it cannot overflow, with a margin
+#: for rounding; only larger values pay for an overflow check.
+_SAFE = 2.0 ** 1000
+
+
+def _check(x: np.ndarray) -> None:
     if (x < 0).any() or not np.isfinite(x).all():
         raise ValueError("values must be finite and nonnegative")
-    return float(x.sum())
 
 
-def _gini_total(x: np.ndarray) -> float:
-    """The sum of ``x`` once it passes ``gini``'s checks, in their order."""
+def _check_vector(x: np.ndarray) -> None:
+    """``gini``'s checks of ``x``, in their order."""
     if x.ndim != 1 or len(x) < 2:
         raise ValueError("need a vector of at least 2 values")
-    total = _total(x)
+    _check(x)
+
+
+def _gini(x: np.ndarray, ranked: np.ndarray) -> tuple[float, float]:
+    """GINI of the checked ``x``, whose values ascending are the contiguous
+    ``ranked``, and the sum of ``x``.  AllZero if that sum is zero."""
+    n = len(ranked)
+    # Neither sum exceeds largest * n * n, so below _SAFE none overflows.
+    if float(ranked[-1]) * (n * n) < _SAFE:
+        total, weighted = float(x.sum()), float(np.arange(1, n + 1) @ ranked)
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            total, weighted = float(x.sum()), float(np.arange(1, n + 1) @ ranked)
+        if not (math.isfinite(2.0 * weighted) and math.isfinite(n * total)):
+            raise ValueError(_NOT_FINITE)
     if total == 0.0:
         raise AllZero("cannot compute GINI of an all-zero vector")
-    return total
-
-
-def _gini(ranked: np.ndarray, total: float) -> float:
-    """GINI of the ascending, contiguous ``ranked`` whose sum is ``total``."""
-    n = len(ranked)
-    weighted = float(np.arange(1, n + 1) @ ranked)
-    return 2.0 * weighted / (n * total) - (n + 1.0) / n
+    return 2.0 * weighted / (n * total) - (n + 1.0) / n, total
 
 
 def dominance_share(impact) -> float:
     """Share of total impact held by the single largest node.  ValueError
-    unless every value is finite and nonnegative."""
+    unless every value is finite and nonnegative, or if their sum exceeds
+    the float range."""
     x = np.asarray(impact, dtype=float)
-    total = _total(x)
+    _check(x)
+    with np.errstate(over="ignore"):
+        total = float(x.sum())
+    if not math.isfinite(total):
+        raise ValueError(_NOT_FINITE)
     if total <= 0.0:
         raise AllZero("impact vector sums to zero")
     return float(x.max()) / total
@@ -116,28 +133,30 @@ def inequality_report(countries: Sequence[str], impact) -> InequalityReport:
     x = np.asarray(impact, dtype=float)
     if x.shape != (len(countries),):
         raise ValueError("countries and impact vectors differ in length")
-    total = _gini_total(x)
+    _check_vector(x)
     # Descending impact, ties by country: a stable sort by impact of the nodes
     # in country order.  Reversed, it is ascending for GINI; equal values such
     # as 0.0 and -0.0 may then sit as np.sort would not, which changes no bit.
     by_name = np.fromiter(sorted(range(len(x)), key=countries.__getitem__), np.intp, len(x))
     order = by_name[(-x[by_name]).argsort(kind="stable")]
+    gini_value, total = _gini(x, x[order[::-1]])
     top = order[:TOP_K].tolist()
     values = x[top].tolist()
-    return InequalityReport(_gini(x[order[::-1]], total), values[0] / total,
+    return InequalityReport(gini_value, values[0] / total,
                             tuple(zip([countries[i] for i in top], values)))
 
 
-def _share_matrix(table: ComplexityTable) -> np.ndarray:
-    """Per-country export-basket shares; countries exporting nothing get zero
-    rows.  ValueError if a country's or product's total is not finite."""
-    totals, _, finite = _totals(table.exports)
+def _share_matrix(table: ComplexityTable) -> tuple[np.ndarray, np.ndarray]:
+    """Per-country export-basket shares, countries exporting nothing getting
+    zero rows, and each product's export total.  ValueError if a country's
+    or product's total is not finite."""
+    totals, product_totals, finite = _totals(table.exports)
     if not finite:
         raise ValueError("an export total exceeds the float range")
     active = totals > 0
     shares = np.zeros_like(table.exports)
     shares[active] = table.exports[active] / totals[active, None]
-    return shares
+    return shares, product_totals
 
 
 def _rca_column(shares: np.ndarray, p: int, product: str) -> np.ndarray:
@@ -157,7 +176,7 @@ def rca_column(table: ComplexityTable, product: str) -> np.ndarray:
     """
     if product not in table.products:
         raise ValueError(f"product {product!r} is not in the table")
-    return _rca_column(_share_matrix(table), table.products.index(product), product)
+    return _rca_column(_share_matrix(table)[0], table.products.index(product), product)
 
 
 def prody_all(table: ComplexityTable) -> dict[str, float]:
@@ -169,14 +188,14 @@ def prody_all(table: ComplexityTable) -> dict[str, float]:
     """
     if table.gdp_percap is None:
         raise ValueError("table has no gdp_percap column")
-    shares = _share_matrix(table)
-    marketed = table.exports.sum(axis=0) > 0
+    shares, product_totals = _share_matrix(table)
     return {code: float(table.gdp_percap @ _rca_column(shares, p, code))
-            for p, code in enumerate(table.products) if marketed[p]}
+            for p, code in enumerate(table.products) if product_totals[p] > 0}
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation of two equal-length, finite vectors."""
+    """Sample Pearson correlation of two equal-length, finite vectors.
+    ValueError if a sum of squares or their product exceeds the float range."""
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -185,9 +204,14 @@ def pearson(x, y) -> float:
         raise ValueError("vectors must be finite")
     if len(a) < 3:
         raise TooFewPoints(f"need at least 3 points, have {len(a)}")
-    a_dev = a - a.mean()
-    b_dev = b - b.mean()
-    denom = math.sqrt(float(a_dev @ a_dev) * float(b_dev @ b_dev))
+    with np.errstate(over="ignore", invalid="ignore"):
+        a_dev = a - a.mean()
+        b_dev = b - b.mean()
+        product = float(a_dev @ a_dev) * float(b_dev @ b_dev)
+    # Not finite too when a mean or a deviation overflows.
+    if not math.isfinite(product):
+        raise ValueError(_NOT_FINITE)
+    denom = math.sqrt(product)
     if denom == 0.0:
         raise ZeroVariance("an argument has zero variance")
     return float(a_dev @ b_dev) / denom

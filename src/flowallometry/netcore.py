@@ -55,16 +55,35 @@ def product_code(raw: str) -> str:
     return code
 
 
+class _Roster(dict):
+    """Provisional ids of raw strings: ``check(raw)`` of each distinct raw
+    string at its first lookup, and each distinct code numbered as first
+    seen, so the first bad string in input order is the one that raises."""
+
+    def __init__(self, check: Callable[[str], object]):
+        super().__init__()
+        self.check = check
+        self.codes: dict = {}       # code -> provisional id
+
+    def __missing__(self, raw):
+        self[raw] = i = self.codes.setdefault(self.check(raw), len(self.codes))
+        return i
+
+    def sorted(self) -> tuple[tuple, np.ndarray]:
+        """The sorted codes, and each provisional id's position among them."""
+        roster = sorted(self.codes)
+        position = {code: i for i, code in enumerate(roster)}
+        return tuple(roster), np.array([position[code] for code in self.codes], dtype=np.intp)
+
+
 def _intern(check: Callable[[str], str],
             *columns: Sequence[str]) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """The sorted distinct codes ``check`` makes of the strings in ``columns``
-    (one call per distinct string), and each column as ids into them."""
-    codes = {raw: check(raw) for raw in set().union(*columns)}
-    roster = sorted(set(codes.values()))
-    index = {code: i for i, code in enumerate(roster)}
-    ids = {raw: index[code] for raw, code in codes.items()}
-    return tuple(roster), [np.fromiter(map(ids.__getitem__, column), np.intp, len(column))
-                           for column in columns]
+    """The sorted distinct codes ``check`` makes of the strings in ``columns``,
+    read column by column, and each column as ids into them."""
+    roster = _Roster(check)
+    ids = [np.fromiter(map(roster.__getitem__, c), np.intp, len(c)) for c in columns]
+    codes, position = roster.sorted()
+    return codes, [position[i] for i in ids]
 
 
 def _check_digit_level(digits: int) -> None:

@@ -131,7 +131,9 @@ def histogram(results: Iterable[ProductResult], bin_width: float,
     emitted even when empty and group counts sum to the totals.  Bins are
     anchored at the largest multiple of the width not above the smallest
     exponent.  ValueError if the bins would number more than ``MAX_BINS``
-    or their indices pass 2**53, where a float stops holding every integer.
+    or their indices pass 2**53, where a float stops holding every integer,
+    and, when stacking, for a product such as ``ALL`` whose code does not
+    start with a digit.
     """
     rows = list(results)
     if not rows:
@@ -163,11 +165,16 @@ def histogram(results: Iterable[ProductResult], bin_width: float,
     stacks = {g: [0] * n_bins for g in groups}
     for row, idx in zip(rows, indices):
         counts[idx] += 1
+        if stack_by is None:
+            continue
+        prefix = row.product[:1]
+        if not (prefix.isascii() and prefix.isdigit()):
+            raise ValueError(f"cannot stack product {row.product!r}: "
+                             f"its code does not start with a digit")
         if stack_by == "prefix":
-            stacks[row.product[0]][idx] += 1
-        elif stack_by == "class":
-            key = "primary" if row.product[0] in PRIMARY_PREFIXES else "manufactured"
-            stacks[key][idx] += 1
+            stacks[prefix][idx] += 1
+        else:
+            stacks["primary" if prefix in PRIMARY_PREFIXES else "manufactured"][idx] += 1
     return Histogram(edges, tuple(counts),
                      {g: tuple(v) for g, v in stacks.items()})
 

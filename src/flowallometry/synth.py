@@ -15,9 +15,6 @@ import numpy as np
 from .errors import BadSpec
 from .netcore import ALL, FlowNetwork, TradeTable
 
-KINDS = ("star", "chain", "random_tree", "random_flow")
-
-
 @dataclass(frozen=True)
 class SynthSpec:
     """Parameters of one synthetic network.
@@ -64,10 +61,7 @@ def generate(spec: SynthSpec) -> FlowNetwork:
     """Build the network described by ``spec``, as product ``ALL`` of year
     2000; identical specs yield identical networks."""
     spec.validate()
-    builder = {"star": _star, "chain": _chain,
-               "random_tree": _random_tree, "random_flow": _random_flow}[spec.kind]
-    flux = builder(spec)
-    return FlowNetwork(_codes(spec.n), flux, ALL, 2000)
+    return FlowNetwork(_codes(spec.n), _BUILDERS[spec.kind](spec), ALL, 2000)
 
 
 def star(n: int, weight: float = 1.0) -> FlowNetwork:
@@ -129,6 +123,12 @@ def _random_flow(spec: SynthSpec) -> np.ndarray:
             if spec.back_density and rng.random() < spec.back_density:
                 flux[j, i] = _draw_weight(rng, lo, hi)
     return flux
+
+
+#: The network kinds ``generate`` builds, each by its function.
+_BUILDERS = {"star": _star, "chain": _chain,
+             "random_tree": _random_tree, "random_flow": _random_flow}
+KINDS = tuple(_BUILDERS)
 
 
 def to_table(net: FlowNetwork, product: str = "1",

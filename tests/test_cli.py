@@ -1,11 +1,15 @@
 import json
+import os
 import re
 import shlex
+import subprocess
+import sys
+import warnings
 from pathlib import Path
 
 import pytest
 
-from flowallometry import parse_trades
+from flowallometry import FlowDataWarning, parse_trades
 from flowallometry.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -24,52 +28,119 @@ def run(tmp_path, *argv):
     return code, (out.read_text(encoding="utf-8") if out.exists() else None)
 
 
+ANALYZE = ("analyze", "--input", FIXTURE, "--year", "2000", "--product", "71",
+           "--digits", "2")
+BATCH = ("batch", "--input", CORPUS, "--year", "2000", "--digits", "1",
+         "--min-countries", "3")
+ANALYZE_GOLDENS = [("json", "analyze_fixture.json"), ("csv", "analyze_fixture.csv")]
+BATCH_GOLDENS = [("csv", "batch_corpus.csv"), ("json", "batch_corpus.json")]
+FOOTER_GOLDENS = [
+    (("backbone", "--input", FIXTURE, "--year", "2000", "--product", "71",
+      "--digits", "2", "--format", "dot"), "backbone_fixture.dot"),
+    (("synth", "star", "--n", "5"), "synth_star.csv"),
+    (("prody", "--input", CORPUS4, "--year", "2000", "--gdp", GDP7,
+      "--format", "json"), "prody_corpus.json"),
+    (("prody", "--input", CORPUS4, "--year", "2000", "--gdp", GDP7,
+      "--format", "csv"), "prody_corpus.csv"),
+    (("timeseries", "--input", CORPUS4, "--min-countries", "3",
+      "--format", "json"), "timeseries_corpus.json"),
+    (("timeseries", "--input", CORPUS4, "--min-countries", "3",
+      "--format", "csv"), "timeseries_corpus.csv"),
+    (("correlate", "--input", CORPUS4, "--year", "2000",
+      "--min-countries", "3",
+      "--complexity-column", str(DATA / "complexity_column.csv"),
+      "--exclude", str(DATA / "exclude.txt"), "--format", "csv"),
+     "correlate_column.csv"),
+    (("correlate", "--input", CORPUS4, "--year", "2000",
+      "--min-countries", "3", "--gdp", GDP7, "--format", "json"),
+     "correlate_gdp.json"),
+    (("backbone", "--input", FIXTURE, "--year", "2000", "--product", "71",
+      "--digits", "2", "--format", "json"), "backbone_fixture.json"),
+]
+#: Every golden file with the arguments that write it.
+GOLDEN_CASES = ([((*ANALYZE, "--format", fmt), golden) for fmt, golden in ANALYZE_GOLDENS]
+                + [((*BATCH, "--format", fmt), golden) for fmt, golden in BATCH_GOLDENS]
+                + FOOTER_GOLDENS)
+
+
+#: Run in a fresh interpreter with the job as JSON on stdin: builds a table
+#: and a network from rows and edges holding several bad codes, then runs
+#: the job's golden cases; prints the errors and each case's exit code and
+#: output as JSON.
+SEEDED_RUN = """
+import json, sys, warnings
+from pathlib import Path
+from flowallometry import FlowNetwork, TradeTable
+from flowallometry.cli import main
+
+job = json.load(sys.stdin)
+warnings.simplefilter("ignore")
+errors = []
+for build, rows in ((TradeTable.from_rows, job["rows"]), (FlowNetwork.from_edges, job["edges"])):
+    try:
+        build([tuple(row) for row in rows])
+        errors.append(None)
+    except ValueError as exc:
+        errors.append(str(exc))
+outputs = {}
+for argv, golden in job["cases"]:
+    out = Path(job["out"]) / golden
+    code = main([*argv, "--out", str(out)])
+    outputs[golden] = [code, out.read_text(encoding="utf-8")]
+print(json.dumps({"errors": errors, "outputs": outputs}))
+"""
+BAD_ROWS = [(2000, "A B", "C D", "1", 1.0), (2000, "E F", "G", "12345", 1.0),
+            (2000, "H", "I J", "x", 1.0)]
+BAD_EDGES = [("P Q", "R S", 1.0), ("T", "U V", 2.0)]
+
+
+@pytest.fixture(scope="module")
+def seeded_runs(tmp_path_factory):
+    """``SEEDED_RUN`` under each ``PYTHONHASHSEED`` from 0 to 5, seeds 0 and
+    1 with every golden case, one interpreter per seed."""
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    runs = {}
+    for seed in range(6):
+        job = {"rows": BAD_ROWS, "edges": BAD_EDGES,
+               "out": str(tmp_path_factory.mktemp(f"seed{seed}")),
+               "cases": GOLDEN_CASES if seed < 2 else []}
+        env = dict(os.environ, PYTHONHASHSEED=str(seed),
+                   PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run([sys.executable, "-c", SEEDED_RUN], input=json.dumps(job),
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        runs[seed] = json.loads(proc.stdout)
+    return runs
+
+
+class TestHashSeed:
+    def test_construction_errors_name_the_first_bad_code_in_input_order(self, seeded_runs):
+        for run in seeded_runs.values():
+            assert run["errors"] == ["country code contains whitespace: 'A B'",
+                                     "country code contains whitespace: 'P Q'"]
+
+    def test_goldens_are_byte_identical_under_two_seeds(self, seeded_runs):
+        for seed in (0, 1):
+            outputs = seeded_runs[seed]["outputs"]
+            assert list(outputs) == [golden for _, golden in GOLDEN_CASES]
+            for golden, (code, text) in outputs.items():
+                assert (code, text) == (0, (GOLDEN / golden).read_text(encoding="utf-8"))
+
+
 class TestGoldenFiles:
-    @pytest.mark.parametrize("fmt,golden", [
-        ("json", "analyze_fixture.json"),
-        ("csv", "analyze_fixture.csv"),
-    ])
+    @pytest.mark.parametrize("fmt,golden", ANALYZE_GOLDENS)
     def test_analyze_fixture(self, tmp_path, fmt, golden):
-        code, text = run(tmp_path, "analyze", "--input", FIXTURE,
-                         "--year", "2000", "--product", "71", "--digits", "2",
-                         "--format", fmt)
+        code, text = run(tmp_path, *ANALYZE, "--format", fmt)
         assert code == 0
         assert text == (GOLDEN / golden).read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("fmt,golden", [
-        ("csv", "batch_corpus.csv"),
-        ("json", "batch_corpus.json"),
-    ])
+    @pytest.mark.parametrize("fmt,golden", BATCH_GOLDENS)
     def test_batch_corpus(self, tmp_path, fmt, golden):
-        code, text = run(tmp_path, "batch", "--input", CORPUS,
-                         "--year", "2000", "--digits", "1",
-                         "--min-countries", "3", "--format", fmt)
+        code, text = run(tmp_path, *BATCH, "--format", fmt)
         assert code == 0
         assert text == (GOLDEN / golden).read_text(encoding="utf-8")
 
-    @pytest.mark.parametrize("argv,golden", [
-        (("backbone", "--input", FIXTURE, "--year", "2000", "--product", "71",
-          "--digits", "2", "--format", "dot"), "backbone_fixture.dot"),
-        (("synth", "star", "--n", "5"), "synth_star.csv"),
-        (("prody", "--input", CORPUS4, "--year", "2000", "--gdp", GDP7,
-          "--format", "json"), "prody_corpus.json"),
-        (("prody", "--input", CORPUS4, "--year", "2000", "--gdp", GDP7,
-          "--format", "csv"), "prody_corpus.csv"),
-        (("timeseries", "--input", CORPUS4, "--min-countries", "3",
-          "--format", "json"), "timeseries_corpus.json"),
-        (("timeseries", "--input", CORPUS4, "--min-countries", "3",
-          "--format", "csv"), "timeseries_corpus.csv"),
-        (("correlate", "--input", CORPUS4, "--year", "2000",
-          "--min-countries", "3",
-          "--complexity-column", str(DATA / "complexity_column.csv"),
-          "--exclude", str(DATA / "exclude.txt"), "--format", "csv"),
-         "correlate_column.csv"),
-        (("correlate", "--input", CORPUS4, "--year", "2000",
-          "--min-countries", "3", "--gdp", GDP7, "--format", "json"),
-         "correlate_gdp.json"),
-        (("backbone", "--input", FIXTURE, "--year", "2000", "--product", "71",
-          "--digits", "2", "--format", "json"), "backbone_fixture.json"),
-    ])
+    @pytest.mark.parametrize("argv,golden", FOOTER_GOLDENS)
     def test_footer_outputs(self, tmp_path, argv, golden):
         code, text = run(tmp_path, *argv)
         assert code == 0
@@ -356,6 +427,19 @@ class TestExitCodes:
         assert capsys.readouterr().err == (
             "flowallometry: error: an export total exceeds the float range\n")
 
+    def test_impact_sum_overflow_is_one(self, tmp_path, capsys):
+        # Node totals and impacts are finite; the impacts' sum is not, and
+        # GINI and dominance were written as NaN and 0.0.
+        trades = tmp_path / "big.csv"
+        trades.write_text("year,exporter,importer,product,value\n" + "".join(
+            f"2000,{src},{dst},1,3e307\n" for src, dst in (
+                ("BBB", "EEE"), ("DDD", "CCC"), ("CCC", "BBB"), ("AAA", "BBB"),
+                ("DDD", "BBB"))))
+        code, text = run(tmp_path, "batch", "--input", str(trades), "--year", "2000",
+                         "--digits", "1", "--min-countries", "3")
+        assert code == 1 and text is None
+        assert capsys.readouterr().err == (
+            "flowallometry: error: a sum of the values exceeds the float range\n")
 
     def test_prody_of_a_year_without_records_is_one(self, tmp_path, capsys):
         code, text = run(tmp_path, "prody", "--input", CORPUS4, "--year", "1999",
@@ -490,6 +574,29 @@ class TestOtherCommands:
         doc = json.loads(text)
         assert doc["n_pairs"] == 5
         assert -1.0 <= doc["r"] <= 1.0
+
+    def test_correlate_with_gdp_reports_each_dropped_row_once(self, tmp_path):
+        trades = tmp_path / "trades.csv"
+        lines = ["year,exporter,importer,product,value"]
+        for p in range(5):
+            for i in range(5):
+                lines.append(
+                    f"2000,C{i:02d},C{(i + 1 + p) % 6:02d},1{p + 1},{1.5 * (i + 1) + p}")
+        lines += ["2000,C00,C00,11,2.0", "2000,C00,C01,1,3.0"]
+        trades.write_text("\n".join(lines) + "\n")
+        gdp = tmp_path / "gdp.csv"
+        gdp.write_text("country,value\n" + "\n".join(
+            f"C{i:02d},{1000 * (i + 1)}" for i in range(6)) + "\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, text = run(tmp_path, "correlate", "--input", str(trades),
+                             "--year", "2000", "--digits", "2",
+                             "--min-countries", "3", "--gdp", str(gdp))
+        assert code == 0 and json.loads(text)["n_pairs"] == 5
+        assert sorted(str(w.message) for w in caught
+                      if issubclass(w.category, FlowDataWarning)) == [
+            "dropped 1 self-loop record(s) worth 2.0",
+            "excluded 1 record(s) with codes shorter than 2 digits"]
 
     def test_exclusion_list_applies(self, tmp_path):
         trades = tmp_path / "trades.csv"

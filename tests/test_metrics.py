@@ -70,6 +70,31 @@ class TestGini:
         assert -1e-12 <= base <= 1 - 1 / len(values) + 1e-12
 
 
+OVERFLOW = "^a sum of the values exceeds the float range$"
+
+
+@pytest.mark.parametrize("values", [[1e308, 1e308], [0.0, 1e308], [1.0, 9e307, 9e307],
+                                    [0.0, 5e307]])
+def test_gini_and_report_raise_where_a_sum_overflows(values):
+    with pytest.raises(ValueError, match=OVERFLOW):
+        gini(values)
+    with pytest.raises(ValueError, match=OVERFLOW):
+        inequality_report([f"C{i}" for i in range(len(values))], values)
+
+
+@pytest.mark.parametrize("values", [[1e301, 1e301], [0.0, 1e300, 2e307], [1e305] * 10])
+def test_gini_of_large_values_that_fit_keeps_the_formula(values):
+    # Past the bound that skips the overflow check, the same bits.
+    x = np.array(values)
+    n = len(x)
+    weighted = float(np.arange(1, n + 1) @ np.sort(x))
+    expected = 2.0 * weighted / (n * float(x.sum())) - (n + 1.0) / n
+    assert gini(x).hex() == expected.hex()
+    report = inequality_report([f"C{i}" for i in range(n)], x)
+    assert report.gini.hex() == expected.hex()
+    assert report.dominance.hex() == dominance_share(x).hex()
+
+
 class TestDominance:
     @pytest.mark.parametrize("impacts,expected", [
         ([1, 2, 3, 4, 5], 0.3333),
@@ -88,6 +113,11 @@ class TestDominance:
     def test_rejects_negative_or_non_finite(self, impact):
         with pytest.raises(ValueError, match="^values must be finite and nonnegative$"):
             dominance_share(impact)
+
+    def test_overflowing_sum_raises(self):
+        with pytest.raises(ValueError, match=OVERFLOW):
+            dominance_share([1e308, 1e308])
+        assert dominance_share([1e308, 0.0]) == 1.0
 
 
 class TestInequalityReport:
@@ -277,6 +307,15 @@ class TestPearson:
                                      ([-np.inf, 2, 3], [1, 2, 3])])
     def test_non_finite_rejected(self, x, y):
         with pytest.raises(ValueError, match="^vectors must be finite$"):
+            pearson(x, y)
+
+    @pytest.mark.parametrize("x,y", [([1e200, -1e200, 0], [1, 2, 3]),
+                                     ([1e100, -1e100, 0], [1e100, 0, -1e100]),
+                                     ([1e308, 1e308, 1e308], [1, 2, 3])],
+                             ids=["sum_of_squares", "product_of_sums", "mean"])
+    def test_overflow_raises(self, x, y):
+        # the first two were -0.0 and 0.0, where r is -0.5 and 0.5
+        with pytest.raises(ValueError, match=OVERFLOW):
             pearson(x, y)
 
     def test_affine_invariance(self):

@@ -219,6 +219,44 @@ def test_cells_sum_each_cell_as_fsum(rows):
     assert [t.hex() for t in totals.tolist()] == [t.hex() for t in expected.values()]
 
 
+@given(st.lists(st.lists(st.text("aAbB ,", max_size=3), max_size=8), min_size=1, max_size=3))
+@example([["b", "A"], ["a", "B", "b"]])
+@example([["a", "a b", "B"], ["", "b"]])
+def test_intern_equals_a_plain_reference(columns):
+    calls = []
+
+    def check(raw):
+        calls.append(raw)
+        return country_id(raw)
+
+    def rejected(raw):
+        try:
+            country_id(raw)
+        except ValueError:
+            return True
+        return False
+
+    raws = [raw for column in columns for raw in column]
+    bad = [k for k, raw in enumerate(raws) if rejected(raw)]
+    if bad:
+        # The first bad string in column order raises, checked after the
+        # distinct strings before it, each once.
+        with pytest.raises(ValueError) as err:
+            netcore._intern(check, *columns)
+        with pytest.raises(ValueError) as expected:
+            country_id(raws[bad[0]])
+        assert str(err.value) == str(expected.value)
+        assert calls == list(dict.fromkeys(raws[:bad[0] + 1]))
+        return
+    roster = sorted({country_id(raw) for raw in raws})
+    codes, ids = netcore._intern(check, *columns)
+    assert codes == tuple(roster)
+    assert [column.dtype for column in ids] == [np.intp] * len(columns)
+    assert [column.tolist() for column in ids] == [
+        [roster.index(country_id(raw)) for raw in column] for column in columns]
+    assert calls == list(dict.fromkeys(raws))
+
+
 class TestTradeTable:
     # The bad row is in 1999; an analysis of 2000 never selects it.
     ROWS = [(2000, "USA", "JPN", "7100", 2.0),

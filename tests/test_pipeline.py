@@ -376,6 +376,14 @@ class TestHistogram:
         assert sum(hist.stacks["primary"]) == 0
         assert sum(hist.stacks["manufactured"]) == sum(hist.counts) == 2
 
+    @pytest.mark.parametrize("stack_by", ["prefix", "class"])
+    def test_stacking_a_code_without_a_digit_prefix_raises(self, stack_by):
+        rows = [result_row("71", 1.0), result_row(ALL, 1.05)]
+        with pytest.raises(ValueError, match="^cannot stack product 'ALL': its code "
+                                             "does not start with a digit$"):
+            histogram(rows, 0.1, stack_by=stack_by)
+        assert histogram(rows, 0.1).counts == (2,)
+
     def test_no_rows_rejected(self):
         with pytest.raises(ValueError, match="^no results to bin$"):
             histogram([], 0.1)
