@@ -85,33 +85,28 @@ def tree_allometry(tree: FlowNetwork) -> tuple[np.ndarray, np.ndarray]:
     ``tree`` is a FlowNetwork whose nonzero edges point from parent to
     child.  For each node, the first vector holds the number of nodes in the
     subtree rooted there (itself included) and the second the sum of those
-    counts over the subtree; both come from a single post-order pass.  Edge
-    weights are ignored.  Raises NotATree when the edges have a cycle,
-    multiple roots, or a node with several parents.
+    counts over the subtree; both come from one pass, children before
+    parents.  Edge weights are ignored.  Raises NotATree when the edges have
+    a cycle, multiple roots, or a node with several parents.
     """
     children, roots = _tree_structure(tree)
     if len(roots) != 1:
         raise NotATree(f"expected exactly one root, found {len(roots)}")
 
-    n = tree.n
-    counts = np.ones(n)
-    sums = np.ones(n)
-    visited = 0
-    # Iterative post-order; chains can be deeper than the recursion limit.
-    stack: list[tuple[int, bool]] = [(roots[0], False)]
-    while stack:
-        node, expanded = stack.pop()
-        if expanded:
-            for child in children[node]:
-                counts[node] += counts[child]
-                sums[node] += sums[child]
-            sums[node] += counts[node] - 1.0
-            visited += 1
-        else:
-            stack.append((node, True))
-            stack.extend((child, False) for child in children[node])
-    if visited != n:
+    # Parents first, without recursion: chains can be deeper than its limit.
+    order = roots[:1]
+    for node in order:
+        order.extend(children[node])
+    # With one root and one parent each, the nodes missed are on or below a cycle.
+    if len(order) != tree.n:
         raise NotATree("edge set contains a cycle")
+    counts = np.ones(tree.n)
+    sums = np.ones(tree.n)
+    for node in reversed(order):
+        for child in children[node]:
+            counts[node] += counts[child]
+            sums[node] += sums[child]
+        sums[node] += counts[node] - 1.0
     return counts, sums
 
 

@@ -368,15 +368,15 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         text = args.func(args)
+        if args.out:
+            Path(args.out).write_text(text, encoding="utf-8", newline="\n")
     except SingularNetwork as exc:
         print(f"flowallometry: numerical failure: {exc}", file=sys.stderr)
         return 2
     except (FlowAnalysisError, OSError, ValueError) as exc:
         print(f"flowallometry: error: {exc}", file=sys.stderr)
         return 1
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8", newline="\n")
-    else:
+    if not args.out:
         sys.stdout.write(text)
     return 0
 

@@ -32,6 +32,12 @@ from .netcore import FlowNetwork
 #: Condition-number estimate above which I - M is treated as singular.
 COND_LIMIT = 1e12
 
+#: A bound on n times the largest source below which no impact overflows:
+#: an entry of S^T U is at most max(S) |U|_1 and a row sum of U at most
+#: n |U|_1, where |U|_1 <= COND_LIMIT once the condition check passed; the
+#: margin of 2**24 covers rounding and a diagonal of U just below 1.
+_SAFE = 2.0 ** 1000 / COND_LIMIT ** 2
+
 
 @dataclass(frozen=True, eq=False)
 class FlowAnalysis:
@@ -147,14 +153,21 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
 def analyze(net: FlowNetwork) -> FlowAnalysis:
     """Full flow analysis of one network; impacts come from the closed form
     impact_i = (sum_j S_j u_ji) * (sum_k u_ik) / u_ii, in O(N^2) from the
-    column-weighted source vector and the row sums of U.
+    column-weighted source vector and the row sums of U.  ValueError if an
+    impact exceeds the float range.
     """
     thru, src = _balance(net)
     fund = _fundamental(_shares(net.flux, thru))
     diag = fund.diagonal()
     if (diag <= 0).any():
         raise SingularNetwork("fundamental matrix has a nonpositive diagonal")
-    impact = (src @ fund) * fund.sum(axis=1) / diag
+    if float(src.max()) * len(src) < _SAFE:
+        impact = (src @ fund) * fund.sum(axis=1) / diag
+    else:
+        with np.errstate(over="ignore", invalid="ignore"):
+            impact = (src @ fund) * fund.sum(axis=1) / diag
+        if not np.isfinite(impact).all():
+            raise ValueError("an impact exceeds the float range")
     return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(impact), net.flux)
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ParseError
-from .netcore import TradeTable, _node_id, _Roster, country_id, product_code
+from .netcore import TradeTable, _Roster, country_id, product_code
 
 TRADES_HEADER = ("year", "exporter", "importer", "product", "value")
 ATTRIBUTES_HEADER = ("country", "value")
@@ -230,9 +230,8 @@ def _read_rows(text: str) -> TradeTable:
             raise ParseError(row, "year", f"not an integer: {year_s!r}") from None
         if not _INT64_MIN <= year <= _INT64_MAX:
             raise ParseError(row, "year", f"out of range: {year_s!r}")
-        # _node_id keeps each checked country for its next row.
-        rows.append((year, _checked(_node_id, exporter, row, "exporter"),
-                     _checked(_node_id, importer, row, "importer"),
+        rows.append((year, _checked(country_id, exporter, row, "exporter"),
+                     _checked(country_id, importer, row, "importer"),
                      _checked(product_code, product, row, "product"),
                      _nonnegative_value(row, value_s)))
     return TradeTable.from_rows(rows)

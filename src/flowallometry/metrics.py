@@ -10,8 +10,9 @@ combination of the exporter GDPs.
 from __future__ import annotations
 
 import math
+import sys
 from collections.abc import Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -22,13 +23,14 @@ from .netcore import TradeTable, _cells, _positions, _select, _totals
 TOP_K = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComplexityTable:
     """Country x product export matrix with optional GDP per capita.
 
     ``exports[c, p]`` is the total export value of country c on product p in
     dollars.  ``gdp_percap`` aligns with ``countries`` and is only required
-    for sophistication queries.
+    for sophistication queries.  Both are read-only copies of the arrays
+    given.  Equality and hashing are by identity, as the fields are arrays.
     """
 
     countries: tuple[str, ...]
@@ -37,7 +39,7 @@ class ComplexityTable:
     gdp_percap: np.ndarray | None = None
 
     def __post_init__(self):
-        exports = np.asarray(self.exports, dtype=float)
+        exports = np.array(self.exports, dtype=float)
         if exports.shape != (len(self.countries), len(self.products)):
             raise ValueError("exports shape does not match country/product lists")
         if np.any(exports < 0) or not np.all(np.isfinite(exports)):
@@ -45,7 +47,7 @@ class ComplexityTable:
         exports.flags.writeable = False
         object.__setattr__(self, "exports", exports)
         if self.gdp_percap is not None:
-            gdp = np.asarray(self.gdp_percap, dtype=float)
+            gdp = np.array(self.gdp_percap, dtype=float)
             if gdp.shape != (len(self.countries),):
                 raise ValueError("gdp_percap length does not match countries")
             if np.any(gdp <= 0) or not np.all(np.isfinite(gdp)):
@@ -60,7 +62,7 @@ class InequalityReport:
 
     gini: float
     dominance: float
-    topk: tuple[tuple[str, float], ...] = field(default_factory=tuple)
+    topk: tuple[tuple[str, float], ...]
 
 
 def gini(values) -> float:
@@ -207,14 +209,25 @@ def pearson(x, y) -> float:
     with np.errstate(over="ignore", invalid="ignore"):
         a_dev = a - a.mean()
         b_dev = b - b.mean()
-        product = float(a_dev @ a_dev) * float(b_dev @ b_dev)
+        aa, bb = float(a_dev @ a_dev), float(b_dev @ b_dev)
+    product = aa * bb
     # Not finite too when a mean or a deviation overflows.
     if not math.isfinite(product):
         raise ValueError(_NOT_FINITE)
+    if min(aa, bb, product) < sys.float_info.min:
+        # Below the normal range bits are lost; r is scale-invariant, so
+        # scale each deviation by a power of two to a largest entry near 1.
+        a_dev, b_dev = _near_one(a_dev), _near_one(b_dev)
+        product = float(a_dev @ a_dev) * float(b_dev @ b_dev)
     denom = math.sqrt(product)
     if denom == 0.0:
         raise ZeroVariance("an argument has zero variance")
     return float(a_dev @ b_dev) / denom
+
+
+def _near_one(x: np.ndarray) -> np.ndarray:
+    """``x`` times the power of two that puts its largest magnitude in [0.5, 1)."""
+    return np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
 
 
 def complexity_table(table: TradeTable, year: int, digit_level: int,

@@ -12,7 +12,7 @@ import math
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
-from functools import lru_cache, reduce
+from functools import reduce
 from itertools import accumulate, pairwise, starmap
 from operator import add
 
@@ -37,14 +37,8 @@ def country_id(raw: str) -> str:
         raise ValueError(f"country code contains an unprintable character: {raw!r}")
     if "," in code or '"' in code:
         raise ValueError(f"country code contains a comma or a double quote: {raw!r}")
-    return code
-
-
-@lru_cache(maxsize=1 << 12, typed=True)
-def _node_id(raw: str) -> str:
-    """``country_id(raw)``, kept for the next network over the same names;
-    a failed check is not kept, so it raises again."""
-    return country_id(raw)
+    # A canonical string is returned as given, so networks over one roster share it.
+    return raw if type(raw) is str and raw == code else code
 
 
 def product_code(raw: str) -> str:
@@ -123,7 +117,7 @@ class FlowNetwork:
     def __init__(self, nodes: Sequence[str], flux, product: str, year: int):
         # From a list: a tuple built from an iterator grows by reallocation,
         # which fragments the heap over a batch of hundreds of networks.
-        nodes = tuple(list(map(_node_id, nodes)))
+        nodes = tuple(list(map(country_id, nodes)))
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate nodes")
         # C-ordered whatever the input's layout, so the sums have one set of bits.
@@ -188,9 +182,6 @@ class FlowNetwork:
             return NotImplemented
         return (self.nodes == other.nodes and self.product == other.product
                 and self.year == other.year and np.array_equal(self.flux, other.flux))
-
-    def __hash__(self):
-        return hash((self.nodes, self.product, self.year, self.flux.tobytes()))
 
     def __repr__(self) -> str:
         edges = int(np.count_nonzero(self.flux))

@@ -8,7 +8,7 @@ product-code order.
 from __future__ import annotations
 
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import pairwise
 
 import numpy as np
@@ -115,11 +115,11 @@ def batch(table: TradeTable, year: int, digit_level: int,
 
 @dataclass(frozen=True)
 class Histogram:
-    """Left-closed exponent bins with optional stacked group counts."""
+    """Left-closed exponent bins, and per-group counts when stacked."""
 
     edges: tuple[float, ...]                 # len(bins) + 1 ascending edges
     counts: tuple[int, ...]
-    stacks: dict[str, tuple[int, ...]] = field(default_factory=dict)
+    stacks: dict[str, tuple[int, ...]]
 
 
 def histogram(results: Iterable[ProductResult], bin_width: float,

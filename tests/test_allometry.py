@@ -200,6 +200,35 @@ class TestTreeAllometry:
         with pytest.raises(NotATree):
             tree_allometry(net)
 
+    @given(st.data())
+    def test_random_trees_match_descendant_sets(self, data):
+        n = data.draw(st.integers(2, 60))
+        parent = [None] + [data.draw(st.integers(0, k - 1)) for k in range(1, n)]
+        # Labels in random order, so node order is not parents first.
+        label = data.draw(st.permutations(range(n)))
+        net = FlowNetwork.from_edges(
+            [(f"N{label[parent[k]]:02d}", f"N{label[k]:02d}", 1.0) for k in range(1, n)])
+        below = [{k} for k in range(n)]         # each node's descendant set
+        for k in range(n):
+            node = k
+            while parent[node] is not None:
+                node = parent[node]
+                below[node].add(k)
+        counts, sums = tree_allometry(net)
+        at = [net.nodes.index(f"N{label[k]:02d}") for k in range(n)]
+        assert [counts[at[k]] for k in range(n)] == [len(d) for d in below]
+        assert [sums[at[k]] for k in range(n)] == [
+            sum(len(below[j]) for j in d) for d in below]
+
+    def test_deep_chain(self):
+        # Five times the default recursion limit; bool flux keeps the input small.
+        n = 5000
+        net = FlowNetwork([f"N{k:04d}" for k in range(n)],
+                          np.eye(n, k=1, dtype=bool), "ALL", 2000)
+        counts, sums = tree_allometry(net)
+        assert counts.tolist() == [n - k for k in range(n)]
+        assert sums.tolist() == [(n - k) * (n - k + 1) / 2 for k in range(n)]
+
     def test_random_tree_slopes_within_bounds(self):
         rng = np.random.default_rng(21)
         for _ in range(25):

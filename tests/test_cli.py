@@ -63,6 +63,20 @@ GOLDEN_CASES = ([((*ANALYZE, "--format", fmt), golden) for fmt, golden in ANALYZ
                 + FOOTER_GOLDENS)
 
 
+#: Finite node totals whose impact at AAA exceeds the float range.
+OVERFLOW_TRADES = "year,exporter,importer,product,value\n" + "".join(
+    f"2000,{src},{dst},1,3e307\n" for src, dst in (
+        ("AAA", "BBB"), ("AAA", "CCC"), ("AAA", "DDD"), ("AAA", "EEE"), ("BBB", "CCC")))
+OVERFLOW_BATCH = ("batch", "--input", "{tmp}/overflow.csv", "--year", "2000",
+                  "--digits", "1", "--min-countries", "3")
+#: Runs that must end in an exit code, ``{tmp}`` standing for a fresh
+#: directory holding ``overflow.csv``, with the code each ends in.
+SWEEP = ([((*argv, "--out", "{tmp}/out.txt"), 0) for argv, _ in GOLDEN_CASES]
+         + [(OVERFLOW_BATCH, 1),
+            ((*ANALYZE, "--out", "{tmp}"), 1),
+            ((*ANALYZE, "--out", "{tmp}/missing/out.txt"), 1)])
+
+
 #: Run in a fresh interpreter with the job as JSON on stdin: builds a table
 #: and a network from rows and edges holding several bad codes, then runs
 #: the job's golden cases; prints the errors and each case's exit code and
@@ -453,6 +467,41 @@ class TestExitCodes:
         assert code == 1 and text is None
         assert capsys.readouterr().err == (
             "flowallometry: error: a year is outside the 64-bit integer range\n")
+
+
+class TestNoTraceback:
+    """Every run ends in exit code 0, 1 or 2, with warnings as errors."""
+
+    @pytest.fixture
+    def sweep_dir(self, tmp_path):
+        """The ``{tmp}`` of ``SWEEP``."""
+        (tmp_path / "overflow.csv").write_text(OVERFLOW_TRADES)
+        return tmp_path
+
+    @pytest.mark.parametrize("argv,expected", SWEEP,
+                             ids=[f"{k}-{argv[0]}" for k, (argv, _) in enumerate(SWEEP)])
+    def test_run_ends_in_an_exit_code(self, sweep_dir, capsys, argv, expected):
+        code = main([arg.format(tmp=sweep_dir) for arg in argv])
+        err = capsys.readouterr().err
+        assert code == expected
+        assert "Traceback" not in err
+        if code:
+            assert err.startswith("flowallometry: error: ") and err.count("\n") == 1
+
+    def test_impact_overflow_is_one(self, sweep_dir, capsys):
+        assert main([arg.format(tmp=sweep_dir) for arg in OVERFLOW_BATCH]) == 1
+        assert capsys.readouterr().err == (
+            "flowallometry: error: an impact exceeds the float range\n")
+
+    def test_impact_overflow_in_a_subprocess(self, sweep_dir):
+        paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+        proc = subprocess.run(
+            [sys.executable, "-W", "error", "-m", "flowallometry.cli",
+             *(arg.format(tmp=sweep_dir) for arg in OVERFLOW_BATCH)],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 1
+        assert proc.stderr == "flowallometry: error: an impact exceeds the float range\n"
 
 
 class TestSynthCommand:

@@ -71,6 +71,20 @@ class TestFundamentalEdgeCases:
                            match="^flow balance is singular: Singular matrix$"):
             analyze(net)
 
+    def test_overflowing_impact_raises(self):
+        # Each node total is finite, but AAA's impact is not.
+        net = FlowNetwork.from_edges([("AAA", dst, 3e307) for dst in ("BBB", "CCC", "DDD", "EEE")]
+                                     + [("BBB", "CCC", 3e307)])
+        with pytest.raises(ValueError, match="^an impact exceeds the float range$"):
+            analyze(net)
+
+    def test_impacts_near_the_float_range_keep_their_bits(self):
+        # Past the bound that skips the overflow check, yet every impact is finite.
+        net = random_net(np.random.default_rng(3), n=12, density=0.5)
+        scale = 2.0 ** 960
+        big = analyze(FlowNetwork(net.nodes, net.flux * scale, net.product, net.year))
+        assert np.array_equal(big.impact, scale * analyze(net).impact)
+
     def test_no_function_takes_damping(self, three_node_net):
         with pytest.raises(TypeError):
             analyze(three_node_net, damping=0.1)

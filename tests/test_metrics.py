@@ -318,6 +318,20 @@ class TestPearson:
         with pytest.raises(ValueError, match=OVERFLOW):
             pearson(x, y)
 
+    def test_tiny_values_are_not_zero_variance(self):
+        assert pearson([1e-200, 2e-200, 4e-200], [1, 2, 3]) == pytest.approx(
+            pearson([1, 2, 4], [1, 2, 3]), rel=1e-12)
+
+    def test_scaling_by_powers_of_two_down_to_the_normal_range(self):
+        rng = np.random.default_rng(37)
+        x = rng.uniform(0.5, 2.0, size=20)
+        y = 0.3 * x + rng.uniform(0.5, 2.0, size=20)
+        base = pearson(x, y)
+        for k in range(-1000, 1):
+            scale = 2.0 ** k
+            assert pearson(scale * x, y) == pytest.approx(base, abs=1e-12)
+            assert pearson(x, scale * y) == pytest.approx(base, abs=1e-12)
+
     def test_affine_invariance(self):
         rng = np.random.default_rng(31)
         x = rng.normal(size=30)
@@ -338,6 +352,24 @@ class TestComplexityTable:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ComplexityTable(("C1", "C2"), ("P1", "P2"), np.array(exports),
                             None if gdp is None else np.array(gdp))
+
+    def test_copies_its_inputs_read_only(self):
+        exports, gdp = np.array([[5.0, 5.0], [0.0, 10.0]]), np.array([1.0, 2.0])
+        table = ComplexityTable(("C1", "C2"), ("P1", "P2"), exports, gdp)
+        assert exports.flags.writeable and gdp.flags.writeable
+        exports[0, 0] = gdp[0] = 99.0
+        assert table.exports.tolist() == [[5.0, 5.0], [0.0, 10.0]]
+        assert table.gdp_percap.tolist() == [1.0, 2.0]
+        for array in (table.exports, table.gdp_percap):
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+
+    def test_equality_and_hash_are_by_identity(self):
+        first, second = toy_table([1.0, 2.0]), toy_table([1.0, 2.0])
+        assert first == first
+        assert first != second
+        assert second not in [first]
+        assert len({first, second, first}) == 2
 
     def test_from_records(self):
         trades = TradeTable.from_rows([

@@ -20,6 +20,12 @@ class TestIdentifiers:
     def test_country_id_uppercases(self):
         assert country_id("usa") == "USA"
 
+    def test_canonical_code_is_returned_as_given(self):
+        # Networks over one roster then share its strings instead of copies.
+        code = "".join(["U", "SA"])
+        assert country_id(code) is code
+        assert FlowNetwork([code, "JPN"], [[0, 1], [0, 0]], "1", 2000).nodes[0] is code
+
     @pytest.mark.parametrize("bad", ["", "U SA", "US\t", "A\nB", "A,B", 'A"B',
                                      "U\x00S", "A\x7f", "\u200bX"])
     def test_country_id_rejects(self, bad):
@@ -85,11 +91,10 @@ class TestFlowNetwork:
         with pytest.raises(ValueError, match=r"^flux shape \(.*\) does not match 2 nodes$"):
             FlowNetwork(["AAA", "BBB"], flux, "1", 2000)
 
-    def test_names_checked_once_per_distinct_name(self, monkeypatch):
+    def test_each_construction_checks_each_name(self, monkeypatch):
         calls = []
         monkeypatch.setattr(netcore, "country_id",
                             lambda raw: calls.append(raw) or country_id(raw))
-        netcore._node_id.cache_clear()
         for _ in range(3):
             net = FlowNetwork(["aaa", "BBB"], [[0, 1], [0, 0]], "1", 2000)
             for bad in ("A A", ""):        # a failed check is made again
@@ -99,7 +104,14 @@ class TestFlowNetwork:
                     country_id(bad)
                 assert str(err.value) == str(expected.value)
         assert net.nodes == ("AAA", "BBB")
-        assert sorted(calls) == ["", "", "", "A A", "A A", "A A", "AAA", "BBB", "aaa"]
+        assert calls == ["aaa", "BBB", "AAA", "A A", "AAA", ""] * 3
+
+    def test_equal_by_content_and_unhashable(self):
+        first = FlowNetwork(["AAA", "BBB"], [[0, 1], [0, 0]], "1", 2000)
+        assert first == FlowNetwork(["aaa", "BBB"], [[0.0, 1.0], [0.0, 0.0]], "1", 2000)
+        assert first != FlowNetwork(["AAA", "BBB"], [[0, 2], [0, 0]], "1", 2000)
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(first)
 
     def test_all_zero_is_empty(self):
         with pytest.raises(EmptySelection):
