@@ -22,6 +22,8 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, flowcalc, metrics, pipeline
 from .backbone import extract
 from .errors import FlowAnalysisError, FlowDataWarning, SingularNetwork
@@ -173,7 +175,7 @@ def cmd_timeseries(args) -> str:
     trades = _read_trades(args.input)
     all_years = _parse_years(args.years)
     if all_years is None:
-        all_years = sorted(set(trades.year.tolist()))
+        all_years = np.unique(trades.year).tolist()
     series = pipeline.timeseries(trades, args.digits, years=all_years,
                                  min_countries=args.min_countries,
                                  min_flow=args.min_flow)

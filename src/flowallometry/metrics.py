@@ -215,9 +215,11 @@ def pearson(x, y) -> float:
     if not math.isfinite(product):
         raise ValueError(_NOT_FINITE)
     if min(aa, bb, product) < sys.float_info.min:
-        # Below the normal range bits are lost; r is scale-invariant, so
-        # scale each deviation by a power of two to a largest entry near 1.
-        a_dev, b_dev = _near_one(a_dev), _near_one(b_dev)
+        # Below the normal range bits are lost, in the means as well; r is
+        # scale-invariant, so scale each input by a power of two to a
+        # largest entry near 1 and take the deviations again.
+        a, b = _near_one(a), _near_one(b)
+        a_dev, b_dev = a - a.mean(), b - b.mean()
         product = float(a_dev @ a_dev) * float(b_dev @ b_dev)
     denom = math.sqrt(product)
     if denom == 0.0:

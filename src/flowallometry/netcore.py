@@ -265,9 +265,12 @@ class TradeTable:
 
     @classmethod
     def concat(cls, tables: Sequence[TradeTable]) -> TradeTable:
-        """The rows of ``tables`` in order, over the union of their rosters."""
+        """The rows of ``tables`` in order, over the union of their rosters;
+        a single table is returned as it is, since tables are immutable."""
         if not tables:
             raise ValueError("no tables to concatenate")
+        if len(tables) == 1:
+            return tables[0]
         countries, country_ids = _intern(str, *(t.countries for t in tables))
         products, product_ids = _intern(str, *(t.products for t in tables))
         columns = zip(*((t.year, c[t.exporter], c[t.importer], p[t.product], t.value)

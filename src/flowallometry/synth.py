@@ -36,9 +36,15 @@ class SynthSpec:
     def validate(self):
         if self.kind not in KINDS:
             raise BadSpec(f"unknown kind {self.kind!r}; choose from {KINDS}")
-        if not 2 <= self.n <= 9999:
-            raise BadSpec(f"node count must be in 2..9999, got {self.n}")
-        lo, hi = self.weight_range()
+        if not isinstance(self.n, (int, np.integer)) or not 2 <= self.n <= 9999:
+            raise BadSpec(f"node count n must be an integer in 2..9999, got {self.n!r}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise BadSpec(f"seed must be a nonnegative integer, got {self.seed!r}")
+        try:
+            lo, hi = self.weight_range()
+        except (TypeError, ValueError):
+            raise BadSpec("weight must be a number or a (low, high) pair, "
+                          f"got {self.weight!r}") from None
         if not (0 < lo <= hi) or not np.isfinite(hi):
             raise BadSpec(f"weights must be positive and finite, got {self.weight}")
         if self.kind in ("star", "chain") and lo != hi:
@@ -97,31 +103,27 @@ def _chain(spec: SynthSpec) -> np.ndarray:
     return np.diag(np.full(spec.n - 1, spec.weight_range()[0]), k=1)
 
 
-def _draw_weight(rng: np.random.Generator, lo: float, hi: float) -> float:
-    return lo if lo == hi else rng.uniform(lo, hi)
-
-
 def _random_tree(spec: SynthSpec) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    lo, hi = spec.weight_range()
+    children = np.arange(1, spec.n)
+    # Every parent, then every weight: a single-weight tree's weights are
+    # the weight itself, so its structure is the parents' alone.
+    parents = rng.integers(0, children)
     flux = np.zeros((spec.n, spec.n))
-    for child in range(1, spec.n):
-        parent = int(rng.integers(0, child))
-        flux[parent, child] = _draw_weight(rng, lo, hi)
+    flux[parents, children] = rng.uniform(*spec.weight_range(), spec.n - 1)
     return flux
 
 
 def _random_flow(spec: SynthSpec) -> np.ndarray:
     rng = np.random.Generator(np.random.PCG64(spec.seed))
-    lo, hi = spec.weight_range()
-    flux = np.zeros((spec.n, spec.n))
-    # Fixed row-major draw order keeps the stream reproducible.
-    for i in range(spec.n):
-        for j in range(i + 1, spec.n):
-            if rng.random() < spec.density:
-                flux[i, j] = _draw_weight(rng, lo, hi)
-            if spec.back_density and rng.random() < spec.back_density:
-                flux[j, i] = _draw_weight(rng, lo, hi)
+    n = spec.n
+    # The draw order, forward mask, back mask, weights, fixes the stream.
+    edges = np.triu(rng.random((n, n)) < spec.density, 1)
+    if spec.back_density:
+        edges |= np.tril(rng.random((n, n)) < spec.back_density, -1)
+    flux = rng.uniform(*spec.weight_range(), (n, n))
+    # In place: a masked copy would hold a third n x n array at the peak.
+    flux[~edges] = 0.0
     return flux
 
 

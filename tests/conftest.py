@@ -26,11 +26,16 @@ def three_node_table(three_node_rows):
 
 
 def random_net(rng, n=None, density=None, lo=0.5, hi=100.0, back=0.0):
-    """Seeded random flow network, acyclic unless ``back`` > 0."""
-    from flowallometry import random_flow
+    """Seeded random flow network, acyclic unless ``back`` > 0.  A draw with
+    no edge raises EmptySelection, and the next spec is drawn instead."""
+    from flowallometry import EmptySelection, random_flow
 
-    n = int(rng.integers(3, 31)) if n is None else n
-    density = float(rng.uniform(0.1, 0.9)) if density is None else density
-    seed = int(rng.integers(0, 2**32))
-    return random_flow(n, density=density, weight=(lo, hi),
-                       back_density=back, seed=seed)
+    while True:
+        size = int(rng.integers(3, 31)) if n is None else n
+        p = float(rng.uniform(0.1, 0.9)) if density is None else density
+        seed = int(rng.integers(0, 2**32))
+        try:
+            return random_flow(size, density=p, weight=(lo, hi),
+                               back_density=back, seed=seed)
+        except EmptySelection:
+            pass

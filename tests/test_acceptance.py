@@ -37,19 +37,24 @@ def test_1_oracle_equivalence():
         rng = np.random.default_rng(20240001)
         start = time.perf_counter()
         checked = 0
-        for k in range(200):
+        k = 0
+        while k < 200:
             n = int(rng.integers(3, 31))
             density = float(rng.uniform(0.1, 0.9))
             back = 0.15 if k % 3 == 0 else 0.0  # exercise cycles too
-            net = fa.random_flow(n, density=density, weight=(1e-6, 100.0),
-                                 back_density=back,
-                                 seed=int(rng.integers(0, 2**63)))
+            try:
+                net = fa.random_flow(n, density=density, weight=(1e-6, 100.0),
+                                     back_density=back,
+                                     seed=int(rng.integers(0, 2**63)))
+            except fa.EmptySelection:
+                continue  # a draw with no edge; draw the next spec
             closed = fa.analyze(net).impact
             for i in range(net.n):
                 oracle = fa.impact_by_extraction(net, i)
                 assert closed[i] == pytest.approx(oracle, rel=1e-9), \
                     f"network {k}, node {i}"
             checked += net.n
+            k += 1
         elapsed = time.perf_counter() - start
         assert checked > 0
         assert elapsed < 10.0, f"took {elapsed:.1f}s"

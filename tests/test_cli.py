@@ -74,7 +74,9 @@ OVERFLOW_BATCH = ("batch", "--input", "{tmp}/overflow.csv", "--year", "2000",
 SWEEP = ([((*argv, "--out", "{tmp}/out.txt"), 0) for argv, _ in GOLDEN_CASES]
          + [(OVERFLOW_BATCH, 1),
             ((*ANALYZE, "--out", "{tmp}"), 1),
-            ((*ANALYZE, "--out", "{tmp}/missing/out.txt"), 1)])
+            ((*ANALYZE, "--out", "{tmp}/missing/out.txt"), 1),
+            (("synth", "random_flow", "--n", "2", "--density", "1e-300"), 1),
+            (("synth", "random_tree", "--n", "5", "--seed", "-1"), 1)])
 
 
 #: Run in a fresh interpreter with the job as JSON on stdin: builds a table
@@ -520,6 +522,11 @@ class TestSynthCommand:
         code, text = run(tmp_path, "analyze", "--input", str(fixture),
                          "--year", "2000", "--product", "4", "--digits", "1")
         assert code == 0 and json.loads(text)["n"] == 10
+
+    def test_negative_seed_is_named(self, capsys):
+        assert main(["synth", "random_tree", "--n", "5", "--seed", "-1"]) == 1
+        assert capsys.readouterr().err == (
+            "flowallometry: error: seed must be a nonnegative integer, got -1\n")
 
     def test_deterministic(self, tmp_path):
         args = ("synth", "random_tree", "--n", "20", "--seed", "3")

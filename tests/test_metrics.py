@@ -319,8 +319,10 @@ class TestPearson:
             pearson(x, y)
 
     def test_tiny_values_are_not_zero_variance(self):
-        assert pearson([1e-200, 2e-200, 4e-200], [1, 2, 3]) == pytest.approx(
-            pearson([1, 2, 4], [1, 2, 3]), rel=1e-12)
+        base = pearson([1, 2, 4], [1, 2, 3])
+        for k in range(-1074, 1):
+            assert pearson(np.ldexp([1.0, 2.0, 4.0], k), [1, 2, 3]) == pytest.approx(
+                base, rel=1e-12), k
 
     def test_scaling_by_powers_of_two_down_to_the_normal_range(self):
         rng = np.random.default_rng(37)

@@ -339,6 +339,9 @@ class TestTradeTable:
         table = TradeTable.from_rows([(2000.0, "USA", "JPN", "7100", 1.0)])
         assert table.year.tolist() == [2000]
 
+    def test_concat_of_one_table_is_that_table(self, three_node_table):
+        assert TradeTable.concat([three_node_table]) is three_node_table
+
     def test_concat_of_no_tables_raises(self):
         with pytest.raises(ValueError, match="^no tables to concatenate$"):
             TradeTable.concat([])

@@ -1,10 +1,23 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from flowallometry import (BadSpec, SynthSpec, analyze, chain, generate,
-                           parse_trades, random_flow, random_tree, star,
-                           tree_allometry, write_trades)
+from flowallometry import (BadSpec, EmptySelection, SynthSpec, analyze, chain,
+                           generate, parse_trades, random_flow, random_tree,
+                           star, tree_allometry, write_trades)
 from flowallometry.synth import to_table
+
+
+def scalar_tree(n, lo, hi, seed):
+    """Reference flux of ``random_tree``: the per-edge loop that drew one
+    parent, then one weight if ``lo < hi``, for each child in turn."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    flux = np.zeros((n, n))
+    for child in range(1, n):
+        parent = int(rng.integers(0, child))
+        flux[parent, child] = lo if lo == hi else rng.uniform(lo, hi)
+    return flux
 
 
 class TestDeterministicKinds:
@@ -50,6 +63,45 @@ class TestRandomKinds:
             counts, _ = tree_allometry(net)
             assert counts.max() == net.n
 
+    @pytest.mark.parametrize("n", [2, 3, 17, 150, 1000])
+    def test_single_weight_tree_equals_the_scalar_loop(self, n):
+        for seed in (0, 1, 3, 5, 123, 2**40 + 7):
+            for weight in (1.0, 0.1, 5.0, 1e-300):
+                flux = random_tree(n, weight, seed=seed).flux
+                assert flux.tobytes() == scalar_tree(n, weight, weight, seed).tobytes()
+
+    def test_forward_edges_lie_above_the_diagonal(self):
+        acyclic = random_flow(40, density=0.4, back_density=0.0, seed=8)
+        assert np.array_equal(acyclic.flux, np.triu(acyclic.flux, 1))
+        cyclic = random_flow(40, density=0.4, back_density=0.2, seed=8)
+        assert not np.diagonal(cyclic.flux).any() and np.tril(cyclic.flux).any()
+        # The forward mask is drawn first, so back edges leave it as it was.
+        assert np.array_equal(np.triu(cyclic.flux) > 0, acyclic.flux > 0)
+
+    @pytest.mark.parametrize("back", [0.0, 0.05])
+    def test_edge_fractions_match_the_densities(self, back):
+        n, density = 300, 0.3
+        flux = random_flow(n, density=density, back_density=back, seed=12).flux
+        pairs = n * (n - 1) / 2
+        for fraction, p in ((np.count_nonzero(np.triu(flux)) / pairs, density),
+                            (np.count_nonzero(np.tril(flux)) / pairs, back)):
+            assert abs(fraction - p) <= 5 * np.sqrt(p * (1 - p) / pairs)
+
+    def test_random_flow_peak_memory(self):
+        n = 1000
+        random_flow(20, weight=(1.0, 100.0), back_density=0.05, seed=7)
+        tracemalloc.start()
+        try:
+            random_flow(n, density=0.3, weight=(1.0, 100.0), back_density=0.05, seed=7)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * 8 * n * n
+
+    def test_network_without_edges_raises(self):
+        with pytest.raises(EmptySelection, match="^network has no nonzero flows$"):
+            random_flow(2, density=1e-300)
+
 
 class TestSpecValidation:
     @pytest.mark.parametrize("spec", [
@@ -59,6 +111,10 @@ class TestSpecValidation:
         SynthSpec("star", 5, (1.0, 2.0)),
         SynthSpec("random_flow", 5, 1.0, density=0.0),
         SynthSpec("random_flow", 5, 1.0, density=0.5, back_density=1.5),
+        SynthSpec("star", 5.5),
+        SynthSpec("random_tree", 5, seed=1.5),
+        SynthSpec("random_tree", 5, seed=-1),
+        SynthSpec("random_tree", 5, (1.0,)),
     ])
     def test_bad_specs_rejected(self, spec):
         with pytest.raises(BadSpec):
