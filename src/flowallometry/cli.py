@@ -278,7 +278,7 @@ def cmd_synth(args) -> str:
                           "weight": args.weight, "density": args.density,
                           "back_density": args.back_density, "seed": args.seed,
                           "product": args.product, "year": args.year},
-                   {}, text.splitlines())
+                   {}, [text.removesuffix("\n")])
 
 
 # ---------------------------------------------------------------------------

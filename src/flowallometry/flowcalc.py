@@ -32,11 +32,7 @@ from .netcore import FlowNetwork
 #: Condition-number estimate above which I - M is treated as singular.
 COND_LIMIT = 1e12
 
-#: A bound on n times the largest source below which no impact overflows:
-#: an entry of S^T U is at most max(S) |U|_1 and a row sum of U at most
-#: n |U|_1, where |U|_1 <= COND_LIMIT once the condition check passed; the
-#: margin of 2**24 covers rounding and a diagonal of U just below 1.
-_SAFE = 2.0 ** 1000 / COND_LIMIT ** 2
+_NOT_FINITE = "an impact exceeds the float range"
 
 
 @dataclass(frozen=True, eq=False)
@@ -139,6 +135,7 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     the flow balance T' = M'^T T' + S' for the reduced throughflow, and
     returns the total reduction.  This path never touches the fundamental
     matrix, so it serves as an independent oracle for the closed form.
+    ValueError if the reduction exceeds the float range.
     """
     thru, src = _balance(net)
     coeff = _shares(net.flux, thru)
@@ -147,7 +144,11 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     matrix = np.eye(net.n) - coeff.T
     reduced_thru = _solve(matrix, src)
     _check_condition(np.linalg.cond(matrix, 1))
-    return float((thru - reduced_thru).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        impact = float((thru - reduced_thru).sum())
+    if not math.isfinite(impact):
+        raise ValueError(_NOT_FINITE)
+    return impact
 
 
 def analyze(net: FlowNetwork) -> FlowAnalysis:
@@ -161,13 +162,10 @@ def analyze(net: FlowNetwork) -> FlowAnalysis:
     diag = fund.diagonal()
     if (diag <= 0).any():
         raise SingularNetwork("fundamental matrix has a nonpositive diagonal")
-    if float(src.max()) * len(src) < _SAFE:
+    with np.errstate(over="ignore", invalid="ignore"):
         impact = (src @ fund) * fund.sum(axis=1) / diag
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            impact = (src @ fund) * fund.sum(axis=1) / diag
-        if not np.isfinite(impact).all():
-            raise ValueError("an impact exceeds the float range")
+    if not np.isfinite(impact).all():
+        raise ValueError(_NOT_FINITE)
     return FlowAnalysis(_frozen(thru), _frozen(src), _frozen(impact), net.flux)
 
 

@@ -78,9 +78,6 @@ def gini(values) -> float:
 
 
 _NOT_FINITE = "a sum of the values exceeds the float range"
-#: A bound on a sum's terms below which it cannot overflow, with a margin
-#: for rounding; only larger values pay for an overflow check.
-_SAFE = 2.0 ** 1000
 
 
 def _check(x: np.ndarray) -> None:
@@ -99,14 +96,10 @@ def _gini(x: np.ndarray, ranked: np.ndarray) -> tuple[float, float]:
     """GINI of the checked ``x``, whose values ascending are the contiguous
     ``ranked``, and the sum of ``x``.  AllZero if that sum is zero."""
     n = len(ranked)
-    # Neither sum exceeds largest * n * n, so below _SAFE none overflows.
-    if float(ranked[-1]) * (n * n) < _SAFE:
+    with np.errstate(over="ignore", invalid="ignore"):
         total, weighted = float(x.sum()), float(np.arange(1, n + 1) @ ranked)
-    else:
-        with np.errstate(over="ignore", invalid="ignore"):
-            total, weighted = float(x.sum()), float(np.arange(1, n + 1) @ ranked)
-        if not (math.isfinite(2.0 * weighted) and math.isfinite(n * total)):
-            raise ValueError(_NOT_FINITE)
+    if not (math.isfinite(2.0 * weighted) and math.isfinite(n * total)):
+        raise ValueError(_NOT_FINITE)
     if total == 0.0:
         raise AllZero("cannot compute GINI of an all-zero vector")
     return 2.0 * weighted / (n * total) - (n + 1.0) / n, total

@@ -80,6 +80,20 @@ def _intern(check: Callable[[str], str],
     return codes, [position[i] for i in ids]
 
 
+def _year_column(years: Sequence) -> np.ndarray:
+    """``years`` as int64; ValueError for a year past the 64-bit range or
+    one that is not an integer, such as 2000.7."""
+    try:
+        year = np.array(years, dtype=np.int64)
+    except OverflowError:
+        raise ValueError("a year is outside the 64-bit integer range") from None
+    # The cast truncates 2000.7 and parses "2000"; neither equals its int.
+    if year.tolist() != list(years):
+        bad = next(y for y, k in zip(years, year.tolist()) if y != k)
+        raise ValueError(f"a year is not an integer: {bad!r}")
+    return year
+
+
 def _check_digit_level(digits: int) -> None:
     if digits < 1 or digits > 4:
         raise ValueError(f"digit level must be in 1..4, got {digits}")
@@ -252,15 +266,7 @@ class TradeTable:
         years, exporters, importers, codes, values = list(zip(*rows, strict=True)) or [()] * 5
         countries, (exporter, importer) = _intern(country_id, exporters, importers)
         products, (product,) = _intern(product_code, codes)
-        try:
-            year = np.array(years, dtype=np.int64)
-        except OverflowError:
-            raise ValueError("a year is outside the 64-bit integer range") from None
-        # The cast truncates 2000.7 and parses "2000"; neither equals its int.
-        if year.tolist() != list(years):
-            bad = next(y for y, k in zip(years, year.tolist()) if y != k)
-            raise ValueError(f"a year is not an integer: {bad!r}")
-        return cls(countries, products, year, exporter, importer, product,
+        return cls(countries, products, _year_column(years), exporter, importer, product,
                    np.array(values, dtype=float))
 
     @classmethod

@@ -13,7 +13,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BadSpec
-from .netcore import ALL, FlowNetwork, TradeTable
+from .netcore import (ALL, FlowNetwork, TradeTable, _intern, _year_column, country_id,
+                      product_code)
 
 @dataclass(frozen=True)
 class SynthSpec:
@@ -136,8 +137,11 @@ KINDS = tuple(_BUILDERS)
 def to_table(net: FlowNetwork, product: str = "1",
              year: int | None = None) -> TradeTable:
     """The network as a trade table, one row per edge, in row-major edge
-    order."""
-    year = net.year if year is None else year
-    rows = ((year, net.nodes[i], net.nodes[j], product, net.flux[i, j].item())
-            for i, j in np.argwhere(net.flux).tolist())
-    return TradeTable.from_rows(rows)
+    order, built from the flux's nonzero cells; ValueError, as
+    ``TradeTable.from_rows`` raises it, for a bad product or year."""
+    countries, (position,) = _intern(country_id, net.nodes)
+    products = (product_code(product),)
+    year = _year_column([net.year if year is None else year])
+    src, dst = np.nonzero(net.flux)
+    return TradeTable(countries, products, year.repeat(len(src)), position[src],
+                      position[dst], np.zeros(len(src), np.intp), net.flux[src, dst])

@@ -1,4 +1,4 @@
-"""Smoke test: every demo script runs to completion."""
+"""Smoke test: every demo script runs to completion without a RuntimeWarning."""
 
 import os
 import subprocess
@@ -23,7 +23,9 @@ DEMOS = ROOT / "demos"
 def test_demo_exits_zero(argv, tmp_path):
     paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    proc = subprocess.run([sys.executable, str(DEMOS / argv[0]), *argv[1:]],
+    # As in the library's tests, an overflow or invalid-value warning fails.
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning",
+                           str(DEMOS / argv[0]), *argv[1:]],
                           cwd=tmp_path, env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

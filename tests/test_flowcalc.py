@@ -72,14 +72,19 @@ class TestFundamentalEdgeCases:
             analyze(net)
 
     def test_overflowing_impact_raises(self):
-        # Each node total is finite, but AAA's impact is not.
-        net = FlowNetwork.from_edges([("AAA", dst, 3e307) for dst in ("BBB", "CCC", "DDD", "EEE")]
-                                     + [("BBB", "CCC", 3e307)])
-        with pytest.raises(ValueError, match="^an impact exceeds the float range$"):
-            analyze(net)
+        # Each node total is finite, but AAA's impact is not, by either path.
+        for edges in ([("AAA", dst, 3e307) for dst in ("BBB", "CCC", "DDD", "EEE")]
+                      + [("BBB", "CCC", 3e307)],
+                      [("AAA", "BBB", 5e307), ("AAA", "CCC", 5e307), ("BBB", "CCC", 3.3e307),
+                       ("CCC", "DDD", 3.3e307)]):
+            net = FlowNetwork.from_edges(edges)
+            with pytest.raises(ValueError, match="^an impact exceeds the float range$"):
+                analyze(net)
+            with pytest.raises(ValueError, match="^an impact exceeds the float range$"):
+                impact_by_extraction(net, 0)
 
     def test_impacts_near_the_float_range_keep_their_bits(self):
-        # Past the bound that skips the overflow check, yet every impact is finite.
+        # Scaled by 2**960, every impact is still finite and keeps its bits.
         net = random_net(np.random.default_rng(3), n=12, density=0.5)
         scale = 2.0 ** 960
         big = analyze(FlowNetwork(net.nodes, net.flux * scale, net.product, net.year))

@@ -84,7 +84,7 @@ def test_gini_and_report_raise_where_a_sum_overflows(values):
 
 @pytest.mark.parametrize("values", [[1e301, 1e301], [0.0, 1e300, 2e307], [1e305] * 10])
 def test_gini_of_large_values_that_fit_keeps_the_formula(values):
-    # Past the bound that skips the overflow check, the same bits.
+    # Large values whose sums fit keep the bits of the formula.
     x = np.array(values)
     n = len(x)
     weighted = float(np.arange(1, n + 1) @ np.sort(x))

@@ -1,11 +1,13 @@
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from flowallometry import (BadSpec, EmptySelection, SynthSpec, analyze, chain,
-                           generate, parse_trades, random_flow, random_tree,
-                           star, tree_allometry, write_trades)
+from flowallometry import (BadSpec, EmptySelection, FlowNetwork, SynthSpec,
+                           TradeTable, analyze, chain, generate, parse_trades,
+                           random_flow, random_tree, star, tree_allometry,
+                           write_trades)
 from flowallometry.synth import to_table
 
 
@@ -18,6 +20,18 @@ def scalar_tree(n, lo, hi, seed):
         parent = int(rng.integers(0, child))
         flux[parent, child] = lo if lo == hi else rng.uniform(lo, hi)
     return flux
+
+
+def rows_table(net, product="1", year=None):
+    """Reference ``to_table``: one row per edge, through ``from_rows``."""
+    year = net.year if year is None else year
+    rows = ((year, net.nodes[i], net.nodes[j], product, net.flux[i, j].item())
+            for i, j in np.argwhere(net.flux).tolist())
+    return TradeTable.from_rows(rows)
+
+
+UNSORTED = FlowNetwork(["ZZ", "AA", "MM"], [[0.0, 2.0, 0.5], [0.0, 0.0, 3.0], [1.0, 0.0, 0.0]],
+                       "7", 1990)
 
 
 class TestDeterministicKinds:
@@ -128,6 +142,31 @@ class TestRecordsRoundTrip:
         assert {table.countries[e] for e in table.exporter} == {"N0000"}
         assert table.products == ("3",) and set(table.year.tolist()) == {1995}
         assert table.value.tolist() == [2.0] * 4
+
+    @pytest.mark.parametrize("net,product,year", [
+        (star(6, 2.0), "3", 1995),
+        (chain(5, 0.25), "1", None),
+        (random_tree(40, weight=(0.5, 9.0), seed=4), "0042", -3),
+        (random_flow(30, density=0.3, back_density=0.1, seed=5), "9999", 2**62),
+        (UNSORTED, 7, 1990.0),
+        (UNSORTED, "12", None),
+    ])
+    def test_table_equals_the_one_built_from_rows(self, net, product, year):
+        table, reference = to_table(net, product, year), rows_table(net, product, year)
+        assert (table.countries, table.products) == (reference.countries, reference.products)
+        for name in ("year", "exporter", "importer", "product", "value"):
+            column, expected = getattr(table, name), getattr(reference, name)
+            assert column.dtype == expected.dtype and column.tobytes() == expected.tobytes(), name
+
+    @pytest.mark.parametrize("product,year", [
+        ("12345", 2000), ("7a", 2000), ("", 2000.7), ("1", 2000.7), ("1", "2000"),
+        ("1", 2**63), ("1", -2**63 - 1), ("1", float("inf")), ("1", float("nan")),
+    ])
+    def test_bad_product_or_year_raises_as_from_rows_does(self, product, year):
+        with pytest.raises(Exception) as expected:
+            rows_table(UNSORTED, product, year)
+        with pytest.raises(type(expected.value), match=f"^{re.escape(str(expected.value))}$"):
+            to_table(UNSORTED, product, year)
 
     def test_round_trip_through_csv(self):
         net = random_flow(12, density=0.5, seed=3)
