@@ -4,20 +4,21 @@ GINI here is the population form, G = sum_ij |x_i - x_j| / (2 n^2 mean),
 evaluated through the sorted O(n log n) identity.  Comparative advantage is
 the share-normalized form whose column sums equal 1, and product
 sophistication is its GDP-per-capita weighted average, hence always a convex
-combination of the exporter GDPs.
+combination of the exporter GDPs.  Each measure is free of its input's scale,
+so it first scales the input by a power of two to a largest value near 1,
+where no sum overflows.
 """
 
 from __future__ import annotations
 
 import math
-import sys
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import AllZero, NoMarket, TooFewPoints, ZeroVariance
-from .netcore import TradeTable, _cells, _positions, _select, _totals
+from .netcore import TradeTable, _cells, _positions, _select
 
 #: Length of the impact ranking in an ``InequalityReport``.
 TOP_K = 10
@@ -42,6 +43,10 @@ class ComplexityTable:
         exports = np.array(self.exports, dtype=float)
         if exports.shape != (len(self.countries), len(self.products)):
             raise ValueError("exports shape does not match country/product lists")
+        if len(set(self.countries)) != len(self.countries):
+            raise ValueError("duplicate countries")
+        if len(set(self.products)) != len(self.products):
+            raise ValueError("duplicate products")
         if np.any(exports < 0) or not np.all(np.isfinite(exports)):
             raise ValueError("exports must be finite and nonnegative")
         exports.flags.writeable = False
@@ -70,14 +75,11 @@ def gini(values) -> float:
 
     Computed via the sorted identity G = 2 sum_i i*x_(i) / (n sum x)
     - (n + 1)/n, which equals the pairwise mean-absolute-difference form.
-    ValueError if a sum it takes exceeds the float range.
     """
     x = np.asarray(values, dtype=float)
     _check_vector(x)
+    x = _near_one(x)
     return _gini(x, np.sort(x))[0]
-
-
-_NOT_FINITE = "a sum of the values exceeds the float range"
 
 
 def _check(x: np.ndarray) -> None:
@@ -94,12 +96,10 @@ def _check_vector(x: np.ndarray) -> None:
 
 def _gini(x: np.ndarray, ranked: np.ndarray) -> tuple[float, float]:
     """GINI of the checked ``x``, whose values ascending are the contiguous
-    ``ranked``, and the sum of ``x``.  AllZero if that sum is zero."""
+    ``ranked``, and the sum of ``x``.  AllZero if that sum is zero.  The
+    largest value must be below 1, so that no sum overflows."""
     n = len(ranked)
-    with np.errstate(over="ignore", invalid="ignore"):
-        total, weighted = float(x.sum()), float(np.arange(1, n + 1) @ ranked)
-    if not (math.isfinite(2.0 * weighted) and math.isfinite(n * total)):
-        raise ValueError(_NOT_FINITE)
+    total, weighted = float(x.sum()), float(np.arange(1, n + 1) @ ranked)
     if total == 0.0:
         raise AllZero("cannot compute GINI of an all-zero vector")
     return 2.0 * weighted / (n * total) - (n + 1.0) / n, total
@@ -107,14 +107,13 @@ def _gini(x: np.ndarray, ranked: np.ndarray) -> tuple[float, float]:
 
 def dominance_share(impact) -> float:
     """Share of total impact held by the single largest node.  ValueError
-    unless every value is finite and nonnegative, or if their sum exceeds
-    the float range."""
+    unless ``impact`` is a vector of finite, nonnegative values."""
     x = np.asarray(impact, dtype=float)
+    if x.ndim != 1:
+        raise ValueError("need a vector of values")
     _check(x)
-    with np.errstate(over="ignore"):
-        total = float(x.sum())
-    if not math.isfinite(total):
-        raise ValueError(_NOT_FINITE)
+    x = _near_one(x)
+    total = float(x.sum())
     if total <= 0.0:
         raise AllZero("impact vector sums to zero")
     return float(x.max()) / total
@@ -134,24 +133,28 @@ def inequality_report(countries: Sequence[str], impact) -> InequalityReport:
     # as 0.0 and -0.0 may then sit as np.sort would not, which changes no bit.
     by_name = np.fromiter(sorted(range(len(x)), key=countries.__getitem__), np.intp, len(x))
     order = by_name[(-x[by_name]).argsort(kind="stable")]
-    gini_value, total = _gini(x, x[order[::-1]])
     top = order[:TOP_K].tolist()
     values = x[top].tolist()
-    return InequalityReport(gini_value, values[0] / total,
+    # _near_one with the largest value already found: its mantissa is that
+    # value scaled.
+    largest, exponent = math.frexp(values[0])
+    x = np.ldexp(x, -exponent)
+    gini_value, total = _gini(x, x[order[::-1]])
+    return InequalityReport(gini_value, largest / total,
                             tuple(zip([countries[i] for i in top], values)))
 
 
-def _share_matrix(table: ComplexityTable) -> tuple[np.ndarray, np.ndarray]:
+def _share_matrix(table: ComplexityTable) -> np.ndarray:
     """Per-country export-basket shares, countries exporting nothing getting
-    zero rows, and each product's export total.  ValueError if a country's
-    or product's total is not finite."""
-    totals, product_totals, finite = _totals(table.exports)
-    if not finite:
-        raise ValueError("an export total exceeds the float range")
+    zero rows.  Each row is first scaled by the power of two that puts its
+    largest value in [0.5, 1), so that no total overflows."""
+    exponents = np.frexp(table.exports.max(axis=1, initial=0.0))[1]
+    exports = np.ldexp(table.exports, -exponents[:, None])
+    totals = exports.sum(axis=1)
     active = totals > 0
-    shares = np.zeros_like(table.exports)
-    shares[active] = table.exports[active] / totals[active, None]
-    return shares, product_totals
+    shares = np.zeros_like(exports)
+    shares[active] = exports[active] / totals[active, None]
+    return shares
 
 
 def _rca_column(shares: np.ndarray, p: int, product: str) -> np.ndarray:
@@ -171,7 +174,7 @@ def rca_column(table: ComplexityTable, product: str) -> np.ndarray:
     """
     if product not in table.products:
         raise ValueError(f"product {product!r} is not in the table")
-    return _rca_column(_share_matrix(table)[0], table.products.index(product), product)
+    return _rca_column(_share_matrix(table), table.products.index(product), product)
 
 
 def prody_all(table: ComplexityTable) -> dict[str, float]:
@@ -183,14 +186,14 @@ def prody_all(table: ComplexityTable) -> dict[str, float]:
     """
     if table.gdp_percap is None:
         raise ValueError("table has no gdp_percap column")
-    shares, product_totals = _share_matrix(table)
+    shares = _share_matrix(table)
+    marketed = table.exports.any(axis=0)
     return {code: float(table.gdp_percap @ _rca_column(shares, p, code))
-            for p, code in enumerate(table.products) if product_totals[p] > 0}
+            for p, code in enumerate(table.products) if marketed[p]}
 
 
 def pearson(x, y) -> float:
-    """Sample Pearson correlation of two equal-length, finite vectors.
-    ValueError if a sum of squares or their product exceeds the float range."""
+    """Sample Pearson correlation of two equal-length, finite vectors."""
     a = np.asarray(x, dtype=float)
     b = np.asarray(y, dtype=float)
     if a.shape != b.shape or a.ndim != 1:
@@ -199,30 +202,21 @@ def pearson(x, y) -> float:
         raise ValueError("vectors must be finite")
     if len(a) < 3:
         raise TooFewPoints(f"need at least 3 points, have {len(a)}")
-    with np.errstate(over="ignore", invalid="ignore"):
-        a_dev = a - a.mean()
-        b_dev = b - b.mean()
-        aa, bb = float(a_dev @ a_dev), float(b_dev @ b_dev)
-    product = aa * bb
-    # Not finite too when a mean or a deviation overflows.
-    if not math.isfinite(product):
-        raise ValueError(_NOT_FINITE)
-    if min(aa, bb, product) < sys.float_info.min:
-        # Below the normal range bits are lost, in the means as well; r is
-        # scale-invariant, so scale each input by a power of two to a
-        # largest entry near 1 and take the deviations again.
-        a, b = _near_one(a), _near_one(b)
-        a_dev, b_dev = a - a.mean(), b - b.mean()
-        product = float(a_dev @ a_dev) * float(b_dev @ b_dev)
-    denom = math.sqrt(product)
+    # r is scale-invariant: with each largest magnitude near 1, no mean or
+    # sum of squares leaves the normal range.
+    a, b = _near_one(a), _near_one(b)
+    a_dev, b_dev = a - a.mean(), b - b.mean()
+    denom = math.sqrt(float(a_dev @ a_dev) * float(b_dev @ b_dev))
     if denom == 0.0:
         raise ZeroVariance("an argument has zero variance")
     return float(a_dev @ b_dev) / denom
 
 
 def _near_one(x: np.ndarray) -> np.ndarray:
-    """``x`` times the power of two that puts its largest magnitude in [0.5, 1)."""
-    return np.ldexp(x, -math.frexp(float(np.abs(x).max()))[1])
+    """``x`` times the power of two that puts its largest magnitude in [0.5, 1),
+    or ``x`` if it is empty or all zero.  Exact, so a scale-free statistic
+    keeps its bits, unless a value falls below the normal range."""
+    return np.ldexp(x, -math.frexp(float(np.abs(x).max(initial=0.0)))[1])
 
 
 def complexity_table(table: TradeTable, year: int, digit_level: int,

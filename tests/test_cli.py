@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import shlex
@@ -430,32 +431,39 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_country_export_total_overflow_is_one(self, tmp_path, capsys):
-        # each cell is finite, AAA's exports of products 1 and 2 together are not
-        trades = tmp_path / "bad.csv"
-        trades.write_text("year,exporter,importer,product,value\n"
-                          "2000,AAA,BBB,1,1e308\n2000,AAA,CCC,2,1e308\n"
-                          "2000,BBB,CCC,1,5\n2000,CCC,AAA,1,3\n2000,BBB,AAA,2,4\n")
+        # Each cell is finite, AAA's exports of products 1 and 2 together are
+        # not; PRODY is that of the corpus with AAA's exports scaled by 2**-1000.
         gdp = tmp_path / "gdp.csv"
         gdp.write_text("country,value\nAAA,1000\nBBB,2000\nCCC,3000\n")
-        code, text = run(tmp_path, "prody", "--input", str(trades), "--year", "2000",
-                         "--digits", "1", "--gdp", str(gdp))
-        assert code == 1 and text is None
-        assert capsys.readouterr().err == (
-            "flowallometry: error: an export total exceeds the float range\n")
+        trades = tmp_path / "big.csv"
+        docs = []
+        for large in (1e308, math.ldexp(1e308, -1000)):
+            trades.write_text("year,exporter,importer,product,value\n"
+                              f"2000,AAA,BBB,1,{large!r}\n2000,AAA,CCC,2,{large!r}\n"
+                              "2000,BBB,CCC,1,5\n2000,CCC,AAA,1,3\n2000,BBB,AAA,2,4\n")
+            code, text = run(tmp_path, "prody", "--input", str(trades), "--year", "2000",
+                             "--digits", "1", "--gdp", str(gdp), "--format", "json")
+            assert code == 0 and capsys.readouterr().err == ""
+            docs.append([(row["product"], row["prody"].hex())
+                         for row in json.loads(text)["products"]])
+        assert len(docs[0]) == 2 and docs[0] == docs[1]
 
     def test_impact_sum_overflow_is_one(self, tmp_path, capsys):
-        # Node totals and impacts are finite; the impacts' sum is not, and
-        # GINI and dominance were written as NaN and 0.0.
+        # Node totals and impacts are finite, the impacts' sum is not; GINI
+        # and dominance are those of the corpus scaled by 2**-1000.
         trades = tmp_path / "big.csv"
-        trades.write_text("year,exporter,importer,product,value\n" + "".join(
-            f"2000,{src},{dst},1,3e307\n" for src, dst in (
-                ("BBB", "EEE"), ("DDD", "CCC"), ("CCC", "BBB"), ("AAA", "BBB"),
-                ("DDD", "BBB"))))
-        code, text = run(tmp_path, "batch", "--input", str(trades), "--year", "2000",
-                         "--digits", "1", "--min-countries", "3")
-        assert code == 1 and text is None
-        assert capsys.readouterr().err == (
-            "flowallometry: error: a sum of the values exceeds the float range\n")
+        docs = []
+        for large in (3e307, math.ldexp(3e307, -1000)):
+            trades.write_text("year,exporter,importer,product,value\n" + "".join(
+                f"2000,{src},{dst},1,{large!r}\n" for src, dst in (
+                    ("BBB", "EEE"), ("DDD", "CCC"), ("CCC", "BBB"), ("AAA", "BBB"),
+                    ("DDD", "BBB"))))
+            code, text = run(tmp_path, "batch", "--input", str(trades), "--year", "2000",
+                             "--digits", "1", "--min-countries", "3", "--format", "json")
+            assert code == 0 and capsys.readouterr().err == ""
+            docs.append([(row["product"], row["gini"].hex(), row["dominance"].hex())
+                         for row in json.loads(text)["results"]])
+        assert len(docs[0]) == 2 and docs[0] == docs[1]
 
     def test_prody_of_a_year_without_records_is_one(self, tmp_path, capsys):
         code, text = run(tmp_path, "prody", "--input", CORPUS4, "--year", "1999",

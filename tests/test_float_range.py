@@ -1,6 +1,7 @@
 """The overflow rule of the public numeric API: across the float range, every
 call returns finite numbers or raises ValueError or a FlowAnalysisError, and
-never lets a RuntimeWarning through."""
+never lets a RuntimeWarning through.  The scale-free metrics keep their bits
+under every exact power-of-two scaling."""
 
 import dataclasses
 import math
@@ -99,3 +100,49 @@ def test_vectors_across_the_float_range_give_finite_numbers_or_raise():
             if table is not None:
                 _holds(fa.rca_column, table, "B")
                 _holds(fa.prody_all, table)
+
+
+def _exactly_scaled(x, k):
+    """``x`` times ``2**k`` if that product is exact, else None."""
+    with np.errstate(over="ignore"):
+        scaled = np.ldexp(x, k)
+    return scaled if np.array_equal(np.ldexp(scaled, -k), x) else None
+
+
+def _bits(*values):
+    return np.array(values, dtype=float).tobytes()
+
+
+def test_exact_power_of_two_scaling_changes_no_bit_of_a_metric():
+    # The metrics are scale-free, so scaling the input by a power of two
+    # keeps every bit wherever the scaled input is exact.
+    names = [f"C{i}" for i in range(len(VECTOR))]
+    report = fa.inequality_report(names, VECTOR)
+    table = fa.ComplexityTable(NODES, ("A", "B"), EXPORTS, GDP)
+    rca, prody = fa.rca_column(table, "B"), fa.prody_all(table)
+    r = fa.pearson(VECTOR, OTHER)
+    exact = 0
+    for k in range(-1074, 1024):
+        v, o, exports = (_exactly_scaled(x, k) for x in (VECTOR, OTHER, EXPORTS))
+        if v is not None:
+            exact += 1
+            assert _bits(fa.gini(v)) == _bits(fa.gini(VECTOR)), k
+            scaled = fa.inequality_report(names, v)
+            assert _bits(scaled.gini, scaled.dominance) == _bits(report.gini,
+                                                                 report.dominance), k
+            assert scaled.topk == tuple((name, math.ldexp(value, k))
+                                        for name, value in report.topk), k
+            assert _bits(fa.dominance_share(v)) == _bits(report.dominance), k
+            assert _bits(fa.pearson(v, OTHER)) == _bits(r), k
+            # each input at its own scale
+            o_inverse = _exactly_scaled(OTHER, -k)
+            if o_inverse is not None:
+                assert _bits(fa.pearson(v, o_inverse)) == _bits(r), k
+        if o is not None:
+            assert _bits(fa.pearson(VECTOR, o)) == _bits(r), k
+        if exports is not None:
+            scaled_table = fa.ComplexityTable(NODES, ("A", "B"), exports, GDP)
+            assert _bits(*fa.rca_column(scaled_table, "B")) == _bits(*rca), k
+            assert fa.prody_all(scaled_table).keys() == prody.keys()
+            assert _bits(*fa.prody_all(scaled_table).values()) == _bits(*prody.values()), k
+    assert exact > 2000

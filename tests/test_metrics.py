@@ -70,16 +70,18 @@ class TestGini:
         assert -1e-12 <= base <= 1 - 1 / len(values) + 1e-12
 
 
-OVERFLOW = "^a sum of the values exceeds the float range$"
-
-
 @pytest.mark.parametrize("values", [[1e308, 1e308], [0.0, 1e308], [1.0, 9e307, 9e307],
                                     [0.0, 5e307]])
 def test_gini_and_report_raise_where_a_sum_overflows(values):
-    with pytest.raises(ValueError, match=OVERFLOW):
-        gini(values)
-    with pytest.raises(ValueError, match=OVERFLOW):
-        inequality_report([f"C{i}" for i in range(len(values))], values)
+    # A sum of these values overflows; GINI and dominance are those of the
+    # values scaled by 2**-1000, whose sums fit.
+    names = [f"C{i}" for i in range(len(values))]
+    scaled = np.ldexp(values, -1000)
+    assert gini(values).hex() == gini(scaled).hex()
+    report, expected = inequality_report(names, values), inequality_report(names, scaled)
+    assert report.gini.hex() == expected.gini.hex()
+    assert report.dominance.hex() == expected.dominance.hex()
+    assert report.topk == tuple((name, np.ldexp(value, 1000)) for name, value in expected.topk)
 
 
 @pytest.mark.parametrize("values", [[1e301, 1e301], [0.0, 1e300, 2e307], [1e305] * 10])
@@ -114,9 +116,18 @@ class TestDominance:
         with pytest.raises(ValueError, match="^values must be finite and nonnegative$"):
             dominance_share(impact)
 
+    @pytest.mark.parametrize("impact", [[[1.0, 2.0], [3.0, 4.0]], 5.0, [[5.0]]])
+    def test_rejects_non_vectors(self, impact):
+        with pytest.raises(ValueError, match="^need a vector of values$"):
+            dominance_share(impact)
+
+    def test_empty_vector_is_all_zero(self):
+        with pytest.raises(AllZero):
+            dominance_share([])
+
     def test_overflowing_sum_raises(self):
-        with pytest.raises(ValueError, match=OVERFLOW):
-            dominance_share([1e308, 1e308])
+        # the sum overflows; the share is that of the values halved
+        assert dominance_share([1e308, 1e308]) == 0.5
         assert dominance_share([1e308, 0.0]) == 1.0
 
 
@@ -269,13 +280,17 @@ class TestPrody:
                                          [[1e308, 0.0], [1e308, 5.0]]],
                              ids=["country_total", "product_total"])
     def test_overflowing_export_total_raises(self, exports):
-        # each cell is finite; a row or column total is not
-        table = ComplexityTable(("C1", "C2"), ("P1", "P2"), np.array(exports),
-                                np.array([1000.0, 2000.0]))
-        with pytest.raises(ValueError, match="^an export total exceeds the float range$"):
-            prody_all(table)
-        with pytest.raises(ValueError, match="exceeds the float range"):
-            rca_column(table, "P1")
+        # Each cell is finite, a row or column total is not; the results
+        # are those of the table scaled by 2**-1000, whose totals fit.
+        gdp = np.array([1000.0, 2000.0])
+        table = ComplexityTable(("C1", "C2"), ("P1", "P2"), np.array(exports), gdp)
+        scaled = ComplexityTable(table.countries, table.products,
+                                 np.ldexp(table.exports, -1000), gdp)
+        assert ({p: v.hex() for p, v in prody_all(table).items()}
+                == {p: v.hex() for p, v in prody_all(scaled).items()})
+        for product in table.products:
+            assert (rca_column(table, product).tobytes()
+                    == rca_column(scaled, product).tobytes())
 
 
 class TestPearson:
@@ -309,14 +324,17 @@ class TestPearson:
         with pytest.raises(ValueError, match="^vectors must be finite$"):
             pearson(x, y)
 
-    @pytest.mark.parametrize("x,y", [([1e200, -1e200, 0], [1, 2, 3]),
-                                     ([1e100, -1e100, 0], [1e100, 0, -1e100]),
-                                     ([1e308, 1e308, 1e308], [1, 2, 3])],
+    @pytest.mark.parametrize("x,y,r", [([1e200, -1e200, 0], [1, 2, 3], -0.5),
+                                       ([1e100, -1e100, 0], [1e100, 0, -1e100], 0.5),
+                                       ([1e308, 1e308, 1e308], [1, 2, 3], None)],
                              ids=["sum_of_squares", "product_of_sums", "mean"])
-    def test_overflow_raises(self, x, y):
-        # the first two were -0.0 and 0.0, where r is -0.5 and 0.5
-        with pytest.raises(ValueError, match=OVERFLOW):
-            pearson(x, y)
+    def test_overflow_raises(self, x, y, r):
+        # Unscaled, a sum of squares, their product or a mean overflows.
+        if r is None:
+            with pytest.raises(ZeroVariance):
+                pearson(x, y)
+        else:
+            assert pearson(x, y) == r
 
     def test_tiny_values_are_not_zero_variance(self):
         base = pearson([1, 2, 4], [1, 2, 3])
@@ -354,6 +372,16 @@ class TestComplexityTable:
         with pytest.raises(ValueError, match=f"^{message}$"):
             ComplexityTable(("C1", "C2"), ("P1", "P2"), np.array(exports),
                             None if gdp is None else np.array(gdp))
+
+    @pytest.mark.parametrize("countries,products,message", [
+        (("C1", "C1"), ("P1", "P2"), "duplicate countries"),
+        (("C1", "C2"), ("P1", "P1"), "duplicate products"),
+    ])
+    def test_duplicate_labels_rejected(self, countries, products, message):
+        # one PRODY for two columns, or an RCA of the first, would follow
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ComplexityTable(countries, products, np.array([[5.0, 5.0], [0.0, 10.0]]),
+                            np.array([1.0, 2.0]))
 
     def test_copies_its_inputs_read_only(self):
         exports, gdp = np.array([[5.0, 5.0], [0.0, 10.0]]), np.array([1.0, 2.0])
