@@ -169,8 +169,8 @@ def rca_column(table: ComplexityTable, product: str) -> np.ndarray:
 
     Each country's basket share of the product divided by the sum of that
     share over all countries, so the column sums to 1; a country that
-    exports nothing overall gets 0.  NoMarket if no country exports the
-    product, ValueError if the table has no such product.
+    exports nothing overall gets 0.  NoMarket if no country has a nonzero
+    share of the product, ValueError if the table has no such product.
     """
     if product not in table.products:
         raise ValueError(f"product {product!r} is not in the table")
@@ -181,13 +181,16 @@ def prody_all(table: ComplexityTable) -> dict[str, float]:
     """Sophistication of every marketed product, keyed by code: the
     GDP-per-capita weighted average of its comparative advantage column.
 
-    A convex combination of the exporter GDPs, so each value lies in
-    [min gdp, max gdp].
+    A product is marketed when some country has a nonzero basket share of
+    it, the rule ``rca_column`` applies; an export too small to register
+    beside its country's largest, such as 1e-300 beside 1e300, is a zero
+    share.  A convex combination of the exporter GDPs, so each value lies
+    in [min gdp, max gdp].
     """
     if table.gdp_percap is None:
         raise ValueError("table has no gdp_percap column")
     shares = _share_matrix(table)
-    marketed = table.exports.any(axis=0)
+    marketed = shares.any(axis=0)
     return {code: float(table.gdp_percap @ _rca_column(shares, p, code))
             for p, code in enumerate(table.products) if marketed[p]}
 

@@ -122,8 +122,12 @@ class FlowNetwork:
     ``outflow`` (row sum) and ``inflow`` (column sum), summed here once for
     every analysis, are finite, and nodes without any nonzero incident flow
     are stripped.  Node order is whatever the caller supplies
-    (``build_network`` sorts lexicographically); the flux is stored
-    C-ordered, and all three arrays are read-only.
+    (``build_network`` sorts lexicographically).  A float64 C-ordered flux
+    is kept as it is, not copied, unless nodes are stripped; any other is
+    copied C-ordered.  All three arrays are read-only, so a kept input is
+    marked read-only once every check has passed; as with ``TradeTable``
+    columns, do not write to it through another view afterwards.  A failed
+    construction leaves the input as it was.
     """
 
     __slots__ = ("nodes", "flux", "outflow", "inflow", "product", "year")
@@ -134,8 +138,9 @@ class FlowNetwork:
         nodes = tuple(list(map(country_id, nodes)))
         if len(set(nodes)) != len(nodes):
             raise ValueError("duplicate nodes")
-        # C-ordered whatever the input's layout, so the sums have one set of bits.
-        matrix = np.array(flux, dtype=float, order="C")
+        # A float64 C-ordered input is kept as is; any other is copied
+        # C-ordered, so the sums have one set of bits whatever the layout.
+        matrix = np.asarray(flux, dtype=float, order="C")
         n = len(nodes)
         if matrix.shape != (n, n):
             raise ValueError(f"flux shape {matrix.shape} does not match {n} nodes")

@@ -276,6 +276,15 @@ class TestPrody:
         with pytest.raises(ValueError, match="no gdp_percap"):
             prody_all(toy_table())
 
+    def test_marketed_means_a_nonzero_share(self):
+        # C1's 1e-300 of P2 is a zero share beside its 1e300 of P1, so no
+        # country has a share of P2: rca_column and prody_all both pass it by.
+        table = ComplexityTable(("C1", "C2"), ("P1", "P2"),
+                                [[1e300, 1e-300], [5.0, 0.0]], [1000.0, 2000.0])
+        with pytest.raises(NoMarket, match="no country exports product P2"):
+            rca_column(table, "P2")
+        assert prody_all(table) == {"P1": float(table.gdp_percap @ rca_column(table, "P1"))}
+
     @pytest.mark.parametrize("exports", [[[1e308, 1e308], [5.0, 0.0]],
                                          [[1e308, 0.0], [1e308, 5.0]]],
                              ids=["country_total", "product_total"])

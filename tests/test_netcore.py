@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -68,10 +69,69 @@ class TestIdentifiers:
 
 class TestFlowNetwork:
     def test_strips_isolated_nodes(self):
-        net = FlowNetwork(["AAA", "BBB", "ZZZ"],
-                          [[0, 1, 0], [0, 0, 0], [0, 0, 0]], "1", 2000)
+        flux = np.array([[0, 1, 0], [0, 0, 0], [0, 0, 0]], dtype=float)
+        net = FlowNetwork(["AAA", "BBB", "ZZZ"], flux, "1", 2000)
         assert net.nodes == ("AAA", "BBB")
         assert net.flux.shape == (2, 2)
+        # The network keeps its sliced copy, and the input stays writable.
+        assert not np.shares_memory(net.flux, flux) and flux.flags.writeable
+
+    def test_float64_c_ordered_flux_is_kept_and_frozen(self):
+        flux = np.array([[0, 1, 0], [0, 0, 2], [3, 0, 0]], dtype=float)
+        net = FlowNetwork(["AAA", "BBB", "CCC"], flux, "1", 2000)
+        assert np.shares_memory(net.flux, flux)
+        assert not flux.flags.writeable
+
+    @pytest.mark.parametrize("convert", [
+        np.ndarray.tolist,
+        lambda flux: flux.astype(np.int64),
+        np.asfortranarray,
+        lambda flux: np.repeat(flux, 2, axis=1)[:, ::2],
+    ], ids=["list", "int", "fortran", "strided"])
+    def test_other_flux_is_copied_c_ordered(self, convert):
+        given = convert(np.array([[0, 1, 0], [0, 0, 2], [3, 0, 0]], dtype=float))
+        net = FlowNetwork(["AAA", "BBB", "CCC"], given, "1", 2000)
+        assert net.flux.tolist() == [[0, 1, 0], [0, 0, 2], [3, 0, 0]]
+        assert net.flux.flags.c_contiguous and not net.flux.flags.writeable
+        assert not np.shares_memory(net.flux, given)
+        if isinstance(given, np.ndarray):
+            assert given.flags.writeable
+
+    @pytest.mark.parametrize("flux, error, match", [
+        ([[0, np.nan, 1], [1, 0, 0], [0, 0, 0]], ValueError, "finite"),
+        ([[0, -1, 1], [1, 0, 0], [0, 0, 0]], NegativeFlow, "nonnegative"),
+        ([[1, 1, 0], [1, 0, 0], [0, 0, 0]], ValueError, "diagonal"),
+        ([[0, 1e308, 1e308], [1, 0, 0], [1, 0, 0]], ValueError, "float range"),
+        ([[0, 1e308, 1e308, 0], [1, 0, 0, 0], [1, 0, 0, 0], [0, 0, 0, 0]],
+         ValueError, "float range"),
+        ([[0, 0, 0], [0, 0, 0], [0, 0, 0]], EmptySelection, "no nonzero flows"),
+    ], ids=["non-finite", "negative", "diagonal", "overflow", "overflow-stripped", "empty"])
+    def test_failed_construction_leaves_the_input_as_it_was(self, flux, error, match):
+        given = np.array(flux, dtype=float)
+        before = given.tobytes()
+        with pytest.raises(error, match=match):
+            FlowNetwork(["AAA", "BBB", "CCC", "DDD"][:len(given)], given, "1", 2000)
+        assert given.flags.writeable and given.tobytes() == before
+
+    def test_networks_from_held_arrays_add_no_flux(self):
+        """Ten networks built from arrays already held add their totals only;
+        with a copy of each flux they added about 10 x 8n²."""
+        n = 200
+        rng = np.random.default_rng(11)
+        fluxes = [rng.uniform(1.0, 2.0, (n, n)) for _ in range(10)]
+        for flux in fluxes:
+            np.fill_diagonal(flux, 0.0)
+        nodes = [f"N{i:03d}" for i in range(n)]
+        FlowNetwork(nodes, fluxes[0].copy(), "1", 2000)
+        tracemalloc.start()
+        try:
+            before, _ = tracemalloc.get_traced_memory()
+            nets = [FlowNetwork(nodes, flux, "1", 2000) for flux in fluxes]
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert all(net.n == n for net in nets)
+        assert peak - before < 8 * n * n
 
     def test_rejects_nonzero_diagonal(self):
         with pytest.raises(ValueError):
@@ -187,9 +247,11 @@ def test_flux_layout_does_not_change_any_bit(n, density, seed, alpha):
         assume(False)
     padded = np.zeros((2 * base.n, 3 * base.n))
     padded[::2, ::3] = base.flux
-    layouts = [np.ascontiguousarray(base.flux), np.asfortranarray(base.flux),
-               padded[::2, ::3]]
+    # The first is kept as it is, the others are copied.
+    layouts = [base.flux.copy(), np.asfortranarray(base.flux), padded[::2, ::3]]
     nets = [FlowNetwork(base.nodes, flux, base.product, base.year) for flux in layouts]
+    assert [np.shares_memory(net.flux, flux) for net, flux in zip(nets, layouts)] == [
+        True, False, False]
     analyses = [analyze(net) for net in nets]
     bones = [extract(net, alpha) for net in nets]
     for net, analysis, bone in zip(nets, analyses, bones):
