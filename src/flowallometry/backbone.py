@@ -70,7 +70,8 @@ def extract(net: FlowNetwork, alpha: float = 0.05) -> Backbone:
     keep = (flux > 0) & (
         (out_fraction >= _mass_quantiles(out_fraction, target)[:, None])
         | (in_fraction >= _mass_quantiles(in_fraction.T, target)))
-    kept = {(net.nodes[src], net.nodes[dst]) for src, dst in zip(*np.nonzero(keep))}
+    rows, cols = np.nonzero(keep)
+    kept = {(net.nodes[i], net.nodes[j]) for i, j in zip(rows.tolist(), cols.tolist())}
 
     roles = dict(zip(net.nodes, np.where(out_strength > in_strength, EXPORTER, IMPORTER).tolist()))
     sizes = dict(zip(net.nodes, np.maximum(out_strength, in_strength).tolist()))

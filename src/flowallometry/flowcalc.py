@@ -5,14 +5,17 @@ Throughflow is the larger of a node's total inflow and outflow, the totals
 the network summed once (``FlowNetwork.inflow``, ``outflow``).  The source
 vector is throughflow minus inflow, i.e. the flow originating at the node.
 Row-normalizing the flux by throughflow gives the coefficient matrix M, and
-U = (I - M)^-1 accumulates direct and indirect flow paths; U comes from one
-LAPACK gesv through ``np.linalg.inv``.  A ``FlowAnalysis`` keeps no n x n
-array of its own: it holds the vectors and shares the network's read-only
-flux, from which M (one division) and U (one inverse) are derived on each
-access with the bits ``analyze`` used.  A node's impact is the total
-system-wide throughflow lost when the node is hypothetically extracted; it
-is computed either in closed form from U or by actually zeroing the node's
-inbound coefficients and source and re-solving.
+U = (I - M)^-1 accumulates direct and indirect flow paths.  Below 64 nodes U
+comes from one LAPACK gesv through ``np.linalg.inv``, with its bits; from 64
+nodes on, from a recursive 2 x 2 block elimination whose work is matrix
+products (``_invert``).  Both round differently on each BLAS kernel
+(ROADMAP item 2).  A ``FlowAnalysis`` keeps no n x n array of its own: it
+holds the vectors and shares the network's read-only flux, from which M
+(one division) and U (one inverse) are derived on each access with the bits
+``analyze`` used.  A node's impact is the total system-wide throughflow
+lost when the node is hypothetically extracted; it is computed either in
+closed form from U or by actually zeroing the node's inbound coefficients
+and source and re-solving.
 
 Sign convention: with m_ij = f_ij / T_i, the flow balance that reproduces
 throughflow is T_k = S_k + sum_j m_jk T_j, i.e. T = M^T T + S (note the
@@ -33,6 +36,9 @@ from .netcore import FlowNetwork
 COND_LIMIT = 1e12
 
 _NOT_FINITE = "an impact exceeds the float range"
+
+#: Half the size below which ``_invert`` hands a block to LAPACK whole.
+_BLOCK = 32
 
 
 @dataclass(frozen=True, eq=False)
@@ -66,6 +72,9 @@ class FlowAnalysis:
 
         Recomputed on each access at the cost of one inverse, with the bits
         ``analyze`` took the impacts from; bind it once when reading it often.
+        Below 64 nodes it has the bits of ``np.linalg.inv``; from 64 nodes on
+        it comes from block elimination by matrix products, whose last digits
+        differ by about 1e-15 relative (see ``_fundamental``).
         """
         return _frozen(_fundamental(_shares(self.flux, self.throughflow)))
 
@@ -105,16 +114,55 @@ def _norm1(matrix: np.ndarray, buf: np.ndarray) -> float:
     return float(np.add.reduce(np.abs(matrix, out=buf), axis=0).max())
 
 
+def _invert(matrix: np.ndarray, out: np.ndarray) -> None:
+    """Write matrix^-1 into ``out`` by 2 x 2 block (Schur-complement)
+    elimination, consuming ``matrix``; both may be row-strided views.
+
+    A block of fewer than ``2 * _BLOCK`` rows is inverted whole by
+    ``_solve``.  Otherwise, with matrix = [[P, Q], [R, S]], P^-1 goes to
+    ``out``'s top-left, X = P^-1 Q to its top-right and Sc = S - R X over S,
+    whose inverse goes to the bottom-right; then U12 = -X Sc^-1,
+    U21 = -Sc^-1 Y with Y = R P^-1, and U11 = P^-1 - U12 Y.  Every product
+    is written into a block of ``matrix`` or ``out`` that is no longer read,
+    so no temporary block is made.  With I - M a nonsingular M-matrix, every
+    diagonal block and Schur complement is one too, so no pivoting is needed.
+    """
+    n = len(matrix)
+    if n < 2 * _BLOCK:
+        out[...] = _solve(matrix)
+        return
+    h = n // 2
+    p, q, r, s = matrix[:h, :h], matrix[:h, h:], matrix[h:, :h], matrix[h:, h:]
+    u11, u12, u21, u22 = out[:h, :h], out[:h, h:], out[h:, :h], out[h:, h:]
+    _invert(p, u11)
+    # A product may overflow as gesv may; a non-finite U fails the
+    # condition check.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x = np.matmul(u11, q, out=u12)
+        s -= np.matmul(r, x, out=u22)
+        _invert(s, u22)
+        minus_u12 = np.matmul(x, u22, out=q)
+        np.negative(minus_u12, out=u12)
+        y = np.matmul(r, u11, out=u21)
+        minus_u21 = np.matmul(u22, y, out=r)
+        u11 += np.matmul(minus_u12, y, out=p)
+        np.negative(minus_u21, out=u21)
+
+
 def _fundamental(coeff: np.ndarray) -> np.ndarray:
-    """Fundamental matrix U = (I - M)^-1 via a pivoted dense solve.
+    """Fundamental matrix U = (I - M)^-1.
 
     Consumes ``coeff``: I - M is built in its place (``0.0 - m``, then 1.0
     added on the diagonal, the bits of ``eye - coeff``), so pass a fresh
-    array.  ``np.linalg.inv`` runs one LAPACK gesv against an identity
-    right-hand side it builds itself, so U has the bits of
-    ``solve(I - M, I)`` without a second n x n argument.  Both 1-norms of
-    the condition estimate are then taken through the same buffer, and U is
-    the only n x n array made here.
+    array.  Below ``2 * _BLOCK`` = 64 nodes U is one ``np.linalg.inv``, a
+    LAPACK gesv against an identity it builds itself, so U has the bits of
+    ``solve(I - M, I)``.  From 64 nodes on, ``_invert`` builds U by block
+    elimination from matrix products, which outrun gesv per flop at these
+    sizes; its last digits differ from gesv's by about 1e-15 relative.
+    Matrix products, like gesv, round differently on each BLAS kernel
+    (ROADMAP item 2).  The 1-norm of I - M is taken before it is consumed,
+    that of U through the consumed buffer, and U is the only n x n array
+    made here.
 
     Raises SingularNetwork when I - M is singular or its 1-norm condition
     number exceeds ``COND_LIMIT``; that happens exactly when the network
@@ -122,9 +170,11 @@ def _fundamental(coeff: np.ndarray) -> np.ndarray:
     """
     matrix = np.subtract(0.0, coeff, out=coeff)
     matrix.reshape(-1)[:: len(matrix) + 1] += 1.0
-    fund = _solve(matrix)
-    # Equals np.linalg.cond(matrix, 1), which would invert matrix a second time.
-    _check_condition(_norm1(matrix, matrix) * _norm1(fund, matrix))
+    fund = np.empty_like(matrix)
+    norm = _norm1(matrix, fund)
+    _invert(matrix, fund)
+    # Equals np.linalg.cond(I - M, 1), which would invert I - M a second time.
+    _check_condition(norm * _norm1(fund, matrix))
     return fund
 
 

@@ -349,6 +349,20 @@ class TestExitCodes:
                       "--year", "2000", "--product", "11", "--digits", "2")
         assert code == 2
 
+    def test_singular_ring_above_the_block_threshold_is_two(self, tmp_path, capsys):
+        # 70 saturated nodes: U of I - M would come from block elimination.
+        ring = tmp_path / "ring.csv"
+        ring.write_text("year,exporter,importer,product,value\n" + "".join(
+            f"2000,N{i:02d},N{(i + 1) % 70:02d},11,5\n" for i in range(70)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, text = run(tmp_path, "analyze", "--input", str(ring),
+                             "--year", "2000", "--product", "11", "--digits", "2")
+        err = capsys.readouterr().err
+        assert code == 2 and text is None
+        assert err == ("flowallometry: numerical failure: "
+                       "flow balance is singular: Singular matrix\n")
+
     @pytest.mark.parametrize("years", ["2001-2000", "2000--1990", "1999,2001-2000"])
     def test_reversed_year_range_is_one(self, tmp_path, capsys, years):
         code, text = run(tmp_path, "timeseries", "--input", CORPUS4, "--digits", "1",

@@ -22,6 +22,8 @@ FLUX = np.array([[0.0, 5.0, 1.0, 0.0, 2.5],
 # reduction are not.
 OVERFLOWING = fa.FlowNetwork.from_edges([("AAA", "BBB", 5e307), ("AAA", "CCC", 5e307),
                                          ("BBB", "CCC", 3.3e307), ("CCC", "DDD", 3.3e307)])
+#: A cyclic network large enough for U to come from block elimination.
+BLOCKED = fa.random_flow(80, density=0.3, back_density=0.1, seed=5)
 VECTOR = np.array([0.0, 1.0, 2.5, 3.0, 7.0, 100.0])
 OTHER = np.array([4.0, 2.0, 3.0, 1.0, 9.0, 50.0])
 EXPORTS = np.array([[1.0, 0.0], [2.0, 5.0], [0.0, 3.0], [4.0, 4.0], [0.5, 0.0]])
@@ -82,6 +84,21 @@ def test_networks_across_the_float_range_give_finite_numbers_or_raise(flux):
             net = _holds(fa.FlowNetwork, NODES[:len(flux)], _scaled(flux, scale), fa.ALL, 2000)
             if net is not None:
                 _network_calls(net)
+
+
+def test_block_eliminated_network_across_the_float_range_gives_finite_numbers_or_raise():
+    # Every 16th power of two and the largest, to keep the sweep short.
+    analysed = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for scale in SCALES[::16] + SCALES[-1:]:
+            net = _holds(fa.FlowNetwork, BLOCKED.nodes, _scaled(BLOCKED.flux, scale),
+                         fa.ALL, 2000)
+            analysis = None if net is None else _holds(fa.analyze, net)
+            if analysis is not None:
+                analysed += 1
+                _holds(fa.fit, analysis.throughflow, analysis.impact)
+    assert analysed > 0
 
 
 def test_vectors_across_the_float_range_give_finite_numbers_or_raise():

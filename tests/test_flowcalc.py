@@ -1,12 +1,13 @@
 import re
 import tracemalloc
+import warnings
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from flowallometry import (FlowAnalysis, FlowNetwork, SingularNetwork, analyze,
-                           impact_by_extraction, throughflow_residual)
+                           impact_by_extraction, random_flow, throughflow_residual)
 from flowallometry.flowcalc import _fundamental
 from conftest import random_net
 
@@ -180,20 +181,25 @@ class TestStoredArrays:
         assert (after - before) / 20 < 0.05 * 8 * net.n ** 2
 
     def test_analyze_peak_memory(self):
-        """analyze holds I - M and U at its peak, about 2 x 8n²; with an
-        identity, a second copy of M and |.| copies it reached about 4 x 8n²."""
-        net = random_net(np.random.default_rng(6), n=200, density=0.5, back=0.1)
-        analyze(net)
-        tracemalloc.start()
-        try:
-            before, _ = tracemalloc.get_traced_memory()
-            tracemalloc.reset_peak()
-            result = analyze(net)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert result.n == 200
-        assert peak - before < 3 * 8 * net.n ** 2
+        """analyze holds I - M and U at its peak: block elimination writes
+        each product into a block of either that is no longer read, at one
+        to three levels of recursion (n = 200 and 260), so only numpy's
+        fixed element-wise buffers come on top, 2.6 and 2.4 x 8n² in all.
+        With an identity, a second copy of M and |.| copies it reached
+        about 4 x 8n²."""
+        for n in (200, 260):
+            net = random_net(np.random.default_rng(6), n=n, density=0.5, back=0.1)
+            analyze(net)
+            tracemalloc.start()
+            try:
+                before, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                result = analyze(net)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert result.n == n
+            assert peak - before < 3 * 8 * net.n ** 2, n
 
     def test_equality_and_hash_are_by_identity(self, three_node_net):
         first, second = analyze(three_node_net), analyze(three_node_net)
@@ -203,6 +209,70 @@ class TestStoredArrays:
         assert second not in [first]
         assert hash(first) == hash(first)
         assert len({first, second, first}) == 2
+
+
+def gravity_net(rng, n):
+    """Dense gravity-like network: log-normal masses, flows scaled by both
+    ends' masses, 30 % of pairs absent, no self-loops."""
+    mass = rng.lognormal(0.0, 1.5, n)
+    flux = np.outer(mass, mass) * rng.lognormal(0.0, 1.0, (n, n))
+    flux[rng.random((n, n)) < 0.3] = 0.0
+    np.fill_diagonal(flux, 0.0)
+    return FlowNetwork([f"N{i:03d}" for i in range(n)], flux, "ALL", 2000)
+
+
+def block_cases():
+    """A dense cyclic network and an acyclic one, both above the 64-node
+    threshold of block elimination."""
+    return [gravity_net(np.random.default_rng(21), 160),
+            random_flow(130, density=0.3, seed=22)]
+
+
+def ring(n, shortcut=0.0):
+    """Closed ring of n saturated nodes, each also feeding the node two
+    ahead with ``shortcut`` when that is positive."""
+    edges = [(f"N{i:03d}", f"N{(i + 1) % n:03d}", 1.0) for i in range(n)]
+    if shortcut:
+        edges += [(f"N{i:03d}", f"N{(i + 2) % n:03d}", shortcut) for i in range(n)]
+    return FlowNetwork.from_edges(edges)
+
+
+class TestBlockRoute:
+    """Below 64 nodes U is LAPACK's inverse bit for bit; from 64 on it comes
+    from block elimination, checked against the extraction oracle."""
+
+    def test_small_networks_keep_lapack_bits(self):
+        rng = np.random.default_rng(17)
+        for n in range(2, 64):
+            # Redraw while a node is stripped, so that every size is covered.
+            while (net := random_net(rng, n=n, density=0.5, back=0.2)).n != n:
+                pass
+            coeff = balance(net)[2]
+            expected = np.linalg.inv(np.eye(n) - coeff)
+            assert _fundamental(coeff.copy()).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["gravity-160", "acyclic-130"])
+    def test_impacts_match_extraction_above_the_threshold(self, case):
+        net = block_cases()[case]
+        assert net.n >= 130
+        result = analyze(net)
+        for i in range(net.n):
+            assert result.impact[i] == pytest.approx(impact_by_extraction(net, i), rel=1e-9)
+
+    @pytest.mark.parametrize("case", [0, 1], ids=["gravity-160", "acyclic-130"])
+    def test_fundamental_matches_lapack_above_the_threshold(self, case):
+        net = block_cases()[case]
+        expected = np.linalg.inv(np.eye(net.n) - balance(net)[2])
+        np.testing.assert_allclose(analyze(net).fundamental, expected, rtol=1e-12)
+
+    @pytest.mark.parametrize("n", [70, 200])
+    @pytest.mark.parametrize("shortcut", [0.0, 1e-14], ids=["ring", "shortcuts"])
+    def test_saturated_rings_are_singular(self, n, shortcut):
+        net = ring(n, shortcut)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(SingularNetwork, match="^flow balance (is|nearly) singular"):
+                analyze(net)
 
 
 class TestOracleEquivalence:
@@ -286,17 +356,19 @@ class TestOracleEquivalence:
 
 class TestInvariances:
     def test_homogeneity_exact_for_power_of_two(self):
-        rng = np.random.default_rng(3)
-        net = random_net(rng, n=12, density=0.5)
-        scale = 2.0 ** 20
-        scaled = FlowNetwork(net.nodes, net.flux * scale, net.product, net.year)
-        base = analyze(net)
-        big = analyze(scaled)
-        assert np.array_equal(big.throughflow, scale * base.throughflow)
-        assert np.array_equal(big.source, scale * base.source)
-        assert np.array_equal(big.coefficients, base.coefficients)
-        assert np.array_equal(big.fundamental, base.fundamental)
-        assert np.array_equal(big.impact, scale * base.impact)
+        # 12 nodes take LAPACK's inverse, 100 nodes block elimination.
+        for n, back in ((12, 0.0), (100, 0.1)):
+            rng = np.random.default_rng(3)
+            net = random_net(rng, n=n, density=0.5, back=back)
+            scale = 2.0 ** 20
+            scaled = FlowNetwork(net.nodes, net.flux * scale, net.product, net.year)
+            base = analyze(net)
+            big = analyze(scaled)
+            assert np.array_equal(big.throughflow, scale * base.throughflow)
+            assert np.array_equal(big.source, scale * base.source)
+            assert np.array_equal(big.coefficients, base.coefficients)
+            assert np.array_equal(big.fundamental, base.fundamental)
+            assert np.array_equal(big.impact, scale * base.impact)
 
     def test_relabeling_equivariance(self):
         rng = np.random.default_rng(4)
