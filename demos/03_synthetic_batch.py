@@ -39,16 +39,17 @@ print(f"  ALL   {integrated.eta:6.3f}  {integrated.stderr:.3f}  "
 for skip in outcome.skipped:
     print(f"  skipped {skip.product}: {skip.reason}")
 
-# Exponent distribution, stacked by the primary/manufactured split
-# (prefixes 0-4 versus 5-9).
-hist = fa.histogram(outcome.results, 0.1, stack_by="class")
+# Exponent distribution on bins at multiples of 0.1, split into primary
+# products (codes starting 0-4) and manufactured ones (5-9).
+etas = np.array([row.eta for row in outcome.results])
+primary = np.array([row.product[0] in "01234" for row in outcome.results])
+edges = np.arange(np.floor(etas.min() * 10), np.floor(etas.max() * 10) + 2) / 10
+prim, _ = np.histogram(etas[primary], edges)
+manu, _ = np.histogram(etas[~primary], edges)
 print("\nexponent distribution (bin width 0.1):")
-for k, count in enumerate(hist.counts):
-    lo, hi = hist.edges[k], hist.edges[k + 1]
-    prim = hist.stacks["primary"][k]
-    manu = hist.stacks["manufactured"][k]
-    print(f"  [{lo:5.2f}, {hi:5.2f})  total={count}  "
-          f"primary={prim}  manufactured={manu}")
+for lo, hi, p, m in zip(edges, edges[1:], prim, manu):
+    print(f"  [{lo:5.2f}, {hi:5.2f})  total={p + m}  "
+          f"primary={p}  manufactured={m}")
 
 # Exponents over time; a product missing in some year would show None.
 series = fa.timeseries(trades, 2, min_countries=10)

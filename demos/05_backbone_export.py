@@ -29,11 +29,14 @@ print("nested:", small <= large)
 touched = {c for edge in fa.extract(net, 0.02).kept for c in edge}
 print("every node retained:", touched == set(net.nodes))
 
-bone = fa.extract(net, 0.05)
-exporters = [c for c, role in bone.roles.items() if role == "exporter"]
-print(f"\nroles at alpha=0.05: {len(exporters)} net exporters, "
-      f"{net.n - len(exporters)} net importers")
-top = sorted(bone.sizes.items(), key=lambda kv: -kv[1])[:3]
+# A backbone export colours and sizes its nodes from the network's totals,
+# the same at every alpha: a node is an exporter when its exports exceed
+# its imports, and its size is its trading volume, the larger of the two.
+exporters = int(np.count_nonzero(net.outflow > net.inflow))
+print(f"\nroles at alpha=0.05: {exporters} net exporters, "
+      f"{net.n - exporters} net importers")
+sizes = np.maximum(net.outflow, net.inflow).tolist()
+top = sorted(zip(net.nodes, sizes), key=lambda kv: -kv[1])[:3]
 print("largest trading volumes:", [(c, round(v)) for c, v in top])
 
 print("\nDOT export (head):")

@@ -22,9 +22,8 @@ from .metrics import (ComplexityTable, InequalityReport, complexity_table,
                       prody_all, rca_column)
 from .netcore import (ALL, FlowNetwork, TradeTable, build_network, country_id,
                       enumerate_products, product_code)
-from .pipeline import (BatchResult, Histogram, ProductResult, SkippedProduct,
-                       batch, correlate_complexity, histogram,
-                       summarize_network, timeseries)
+from .pipeline import (BatchResult, ProductResult, SkippedProduct, batch,
+                       correlate_complexity, summarize_network, timeseries)
 from .synth import SynthSpec, chain, generate, random_flow, random_tree, star
 
 __version__ = "0.1.0"
@@ -33,12 +32,12 @@ __all__ = [
     "ALL", "AllZero", "AllometryFit", "Backbone", "BadSpec", "BatchResult",
     "ComplexityTable", "CountryAttribute", "DegenerateFit", "EmptySelection",
     "FlowAnalysis", "FlowAnalysisError", "FlowDataWarning", "FlowNetwork",
-    "Histogram", "InequalityReport", "NegativeFlow", "NoMarket", "NotATree",
-    "ParseError", "ProductResult", "SingularNetwork", "SkippedProduct",
-    "SynthSpec", "TooFewPoints", "TradeTable", "ZeroVariance", "analyze",
-    "batch", "build_network", "chain", "classify", "complexity_table",
+    "InequalityReport", "NegativeFlow", "NoMarket", "NotATree", "ParseError",
+    "ProductResult", "SingularNetwork", "SkippedProduct", "SynthSpec",
+    "TooFewPoints", "TradeTable", "ZeroVariance", "analyze", "batch",
+    "build_network", "chain", "classify", "complexity_table",
     "correlate_complexity", "country_id", "dominance_share",
-    "enumerate_products", "extract", "fit", "generate", "gini", "histogram",
+    "enumerate_products", "extract", "fit", "generate", "gini",
     "impact_by_extraction", "inequality_report", "parse_attributes",
     "parse_exclusions", "parse_product_column", "parse_trades", "pearson",
     "product_code", "prody_all", "random_flow", "random_tree", "rca_column",

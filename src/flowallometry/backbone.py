@@ -22,18 +22,13 @@ import numpy as np
 
 from .netcore import FlowNetwork
 
-EXPORTER = "exporter"
-IMPORTER = "importer"
-
 
 @dataclass(frozen=True)
 class Backbone:
-    """Kept edges plus per-node display attributes of the source network."""
+    """The edges kept at level ``alpha``, as (source, target) node pairs."""
 
     alpha: float
     kept: frozenset[tuple[str, str]]
-    roles: dict[str, str]   # exporter iff out-strength > in-strength
-    sizes: dict[str, float]  # trading volume: max(inflow, outflow), dollars
 
 
 def _mass_quantiles(fractions: np.ndarray, target: float) -> np.ndarray:
@@ -72,7 +67,4 @@ def extract(net: FlowNetwork, alpha: float = 0.05) -> Backbone:
         | (in_fraction >= _mass_quantiles(in_fraction.T, target)))
     rows, cols = np.nonzero(keep)
     kept = {(net.nodes[i], net.nodes[j]) for i, j in zip(rows.tolist(), cols.tolist())}
-
-    roles = dict(zip(net.nodes, np.where(out_strength > in_strength, EXPORTER, IMPORTER).tolist()))
-    sizes = dict(zip(net.nodes, np.maximum(out_strength, in_strength).tolist()))
-    return Backbone(alpha, frozenset(kept), roles, sizes)
+    return Backbone(alpha, frozenset(kept))

@@ -237,8 +237,11 @@ def cmd_backbone(args) -> str:
     net = build_network(_read_trades(args.input), args.product, args.year,
                         args.digits, min_flow=args.min_flow)
     bone = extract(net, args.alpha)
-    nodes = [{"id": code, "role": bone.roles[code], "size": bone.sizes[code]}
-             for code in net.nodes]
+    # Exporter when exports exceed imports; size is the trading volume.
+    nodes = [{"id": code, "role": "exporter" if out > into else "importer",
+              "size": max(out, into)}
+             for code, out, into in zip(net.nodes, net.outflow.tolist(),
+                                        net.inflow.tolist())]
     position = {code: i for i, code in enumerate(net.nodes)}
     links = [{"source": s, "target": t,
               "weight": float(net.flux[position[s], position[t]])}

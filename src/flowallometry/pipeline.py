@@ -1,5 +1,5 @@
-"""Batch orchestration: per-product analyses, exponent distributions, time
-series, and correlation against complexity columns.
+"""Batch orchestration: per-product analyses, time series, and correlation
+against complexity columns.
 
 Batch results are a pure function of (trade table, parameters), listed in
 product-code order.
@@ -21,11 +21,6 @@ from .netcore import (ALL, TradeTable, _cells, _check_min_flow, _network,
 # Unused here, but importable as pipeline.build_network and
 # pipeline.enumerate_products: the names perfbench/spans.py wraps.
 from .netcore import build_network, enumerate_products  # noqa: F401
-
-PRIMARY_PREFIXES = frozenset("01234")
-
-#: Most bins a ``histogram`` may span.
-MAX_BINS = 10_000
 
 
 @dataclass(frozen=True)
@@ -111,72 +106,6 @@ def batch(table: TradeTable, year: int, digit_level: int,
         else:
             results.append(result)
     return BatchResult(results, integrated, skipped)
-
-
-@dataclass(frozen=True)
-class Histogram:
-    """Left-closed exponent bins, and per-group counts when stacked."""
-
-    edges: tuple[float, ...]                 # len(bins) + 1 ascending edges
-    counts: tuple[int, ...]
-    stacks: dict[str, tuple[int, ...]]
-
-
-def histogram(results: Iterable[ProductResult], bin_width: float,
-              stack_by: str | None = None) -> Histogram:
-    """Bin per-product exponents into left-closed bins of ``bin_width``.
-
-    ``stack_by`` may be ``"prefix"`` (ten 1-digit groups) or ``"class"``
-    (primary = prefixes 0-4, manufactured = 5-9); every stack group is
-    emitted even when empty and group counts sum to the totals.  Bins are
-    anchored at the largest multiple of the width not above the smallest
-    exponent.  ValueError if the bins would number more than ``MAX_BINS``
-    or their indices pass 2**53, where a float stops holding every integer,
-    and, when stacking, for a product such as ``ALL`` whose code does not
-    start with a digit.
-    """
-    rows = list(results)
-    if not rows:
-        raise ValueError("no results to bin")
-    if not (np.isfinite(bin_width) and bin_width > 0):
-        raise ValueError(f"bin width must be finite and positive, got {bin_width}")
-    if stack_by not in (None, "prefix", "class"):
-        raise ValueError(f"unknown stacking mode {stack_by!r}")
-
-    etas = np.array([r.eta for r in rows])
-    # Bin in index space so multiples of the width land on their own left
-    # edge despite division rounding (0.7/0.05 floors to 13 otherwise).
-    with np.errstate(over="ignore"):
-        raw = np.floor(etas / bin_width + 1e-9)
-    # Checked before the int cast and before any bin is allocated.
-    if not (np.abs(raw).max() < 2**53 and raw.max() - raw.min() < MAX_BINS):
-        raise ValueError(f"bin width {bin_width} is too fine for these exponents: "
-                         f"it needs more than {MAX_BINS} bins or bin indices "
-                         f"beyond 2**53")
-    raw = raw.astype(int)
-    first = int(raw.min())
-    indices = raw - first
-    n_bins = int(indices.max()) + 1
-    edges = tuple(float((first + k) * bin_width) for k in range(n_bins + 1))
-
-    counts = [0] * n_bins
-    groups = ([str(d) for d in range(10)] if stack_by == "prefix"
-              else ["primary", "manufactured"] if stack_by == "class" else [])
-    stacks = {g: [0] * n_bins for g in groups}
-    for row, idx in zip(rows, indices):
-        counts[idx] += 1
-        if stack_by is None:
-            continue
-        prefix = row.product[:1]
-        if not (prefix.isascii() and prefix.isdigit()):
-            raise ValueError(f"cannot stack product {row.product!r}: "
-                             f"its code does not start with a digit")
-        if stack_by == "prefix":
-            stacks[prefix][idx] += 1
-        else:
-            stacks["primary" if prefix in PRIMARY_PREFIXES else "manufactured"][idx] += 1
-    return Histogram(edges, tuple(counts),
-                     {g: tuple(v) for g, v in stacks.items()})
 
 
 def timeseries(table: TradeTable, digit_level: int,

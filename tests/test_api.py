@@ -2,6 +2,7 @@
 addition is deliberate."""
 
 import ast
+import dataclasses
 import inspect
 from pathlib import Path
 
@@ -11,12 +12,12 @@ PUBLIC = [
     "ALL", "AllZero", "AllometryFit", "Backbone", "BadSpec", "BatchResult",
     "ComplexityTable", "CountryAttribute", "DegenerateFit", "EmptySelection",
     "FlowAnalysis", "FlowAnalysisError", "FlowDataWarning", "FlowNetwork",
-    "Histogram", "InequalityReport", "NegativeFlow", "NoMarket", "NotATree",
-    "ParseError", "ProductResult", "SingularNetwork", "SkippedProduct",
-    "SynthSpec", "TooFewPoints", "TradeTable", "ZeroVariance", "analyze",
-    "batch", "build_network", "chain", "classify", "complexity_table",
+    "InequalityReport", "NegativeFlow", "NoMarket", "NotATree", "ParseError",
+    "ProductResult", "SingularNetwork", "SkippedProduct", "SynthSpec",
+    "TooFewPoints", "TradeTable", "ZeroVariance", "analyze", "batch",
+    "build_network", "chain", "classify", "complexity_table",
     "correlate_complexity", "country_id", "dominance_share",
-    "enumerate_products", "extract", "fit", "generate", "gini", "histogram",
+    "enumerate_products", "extract", "fit", "generate", "gini",
     "impact_by_extraction", "inequality_report", "parse_attributes",
     "parse_exclusions", "parse_product_column", "parse_trades", "pearson",
     "product_code", "prody_all", "random_flow", "random_tree", "rca_column",
@@ -34,6 +35,11 @@ def test_all_is_the_pinned_sorted_list():
 
 def test_flow_network_surface_is_pinned():
     assert fa.FlowNetwork.__slots__ == ("nodes", "flux", "outflow", "inflow", "product", "year")
+
+
+def test_backbone_fields_are_pinned():
+    """Roles and sizes are read from the network's totals, not the backbone."""
+    assert [f.name for f in dataclasses.fields(fa.Backbone)] == ["alpha", "kept"]
 
 
 def test_every_public_name_resolves():

@@ -129,12 +129,3 @@ class TestInvariants:
         edges = {(net.nodes[i], net.nodes[j]) for i, j in zip(*np.nonzero(net.flux))}
         assert extract(net, 0.3).kept <= edges
 
-
-class TestNodeAttributes:
-    def test_roles_and_sizes(self):
-        net = FlowNetwork.from_edges(
-            {("AAA", "BBB"): 7.0, ("BBB", "CCC"): 2.0})
-        bone = extract(net, 0.5)
-        assert bone.roles == {"AAA": "exporter", "BBB": "importer",
-                              "CCC": "importer"}
-        assert bone.sizes == {"AAA": 7.0, "BBB": 7.0, "CCC": 2.0}

@@ -10,7 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from flowallometry import FlowDataWarning, parse_trades
+from flowallometry import (FlowDataWarning, build_network, impact_by_extraction,
+                           parse_trades)
 from flowallometry.cli import build_parser, main
 
 DATA = Path(__file__).parent / "data"
@@ -210,6 +211,20 @@ class TestAnalyzeContent:
                 assert list(json.loads(text))[-1] == "meta"
             else:
                 assert text.splitlines()[-1].startswith("# convention")
+
+    def test_block_route_impacts_match_extraction(self, tmp_path):
+        # 100 nodes: U of I - M comes from block elimination.
+        trades = tmp_path / "trades.csv"
+        assert main(["synth", "random_flow", "--n", "100", "--back-density", "0.05",
+                     "--seed", "3", "--out", str(trades)]) == 0
+        code, text = run(tmp_path, "analyze", "--input", str(trades), "--product", "1",
+                         "--year", "2000", "--digits", "1", "--format", "json")
+        assert code == 0
+        nodes = json.loads(text)["nodes"]
+        net = build_network(parse_trades(trades), "1", 2000, 1)
+        assert [node["country"] for node in nodes] == list(net.nodes) and net.n == 100
+        assert [node["impact"] for node in nodes] == pytest.approx(
+            [impact_by_extraction(net, i) for i in range(net.n)], rel=1e-9)
 
 
 class TestMetadata:
@@ -574,6 +589,23 @@ class TestBackboneCommand:
         assert doc["directed"] is True
         assert {n["id"] for n in doc["nodes"]} == {"AAA", "BBB", "CCC"}
         assert all(link["weight"] > 0 for link in doc["links"])
+
+    def test_roles_and_sizes(self, tmp_path):
+        # Exporter when exports exceed imports, importer otherwise: in the
+        # second network BBB's exports equal its imports.
+        trades = tmp_path / "trades.csv"
+        for first, second, expected in [
+                (7, 2, {"AAA": ("exporter", 7.0), "BBB": ("importer", 7.0),
+                        "CCC": ("importer", 2.0)}),
+                (3, 3, {"AAA": ("exporter", 3.0), "BBB": ("importer", 3.0),
+                        "CCC": ("importer", 3.0)})]:
+            trades.write_text("year,exporter,importer,product,value\n"
+                              f"2000,AAA,BBB,1,{first}\n2000,BBB,CCC,1,{second}\n")
+            code, text = run(tmp_path, "backbone", "--input", str(trades), "--year",
+                             "2000", "--product", "1", "--alpha", "0.5", "--format", "json")
+            assert code == 0
+            nodes = json.loads(text)["nodes"]
+            assert {n["id"]: (n["role"], n["size"]) for n in nodes} == expected
 
 
 class TestOtherCommands:

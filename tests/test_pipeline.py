@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from flowallometry import (ALL, DegenerateFit, EmptySelection, FlowDataWarning,
                            FlowNetwork, SingularNetwork, TooFewPoints,
                            TradeTable, batch, build_network, complexity_table,
-                           correlate_complexity, enumerate_products, histogram,
-                           analyze, prody_all, random_flow,
-                           summarize_network, timeseries)
-from flowallometry.pipeline import MAX_BINS, ProductResult
+                           correlate_complexity, enumerate_products, analyze,
+                           prody_all, random_flow, summarize_network, timeseries)
+from flowallometry.pipeline import ProductResult
 from flowallometry.synth import to_table
 
 
@@ -348,79 +347,6 @@ class TestBatchMetamorphic:
         scaled = [r._replace(value=r.value * factor) for r in records]
         assert_same_rows(batch(trades(scaled), 2000, digit_level, min_countries=3),
                          batch(trades(records), 2000, digit_level, min_countries=3))
-
-
-class TestHistogram:
-    def test_single_bin(self):
-        rows = [result_row("1", 1.0), result_row("2", 1.05), result_row("3", 1.09)]
-        hist = histogram(rows, 0.1)
-        assert hist.edges[0] == pytest.approx(1.0)
-        assert hist.counts == (3,)
-
-    def test_totals_preserved_across_bins(self):
-        rng = np.random.default_rng(6)
-        rows = [result_row(str(i % 10), float(e))
-                for i, e in enumerate(rng.uniform(0.7, 1.4, size=50))]
-        hist = histogram(rows, 0.05)
-        assert sum(hist.counts) == 50
-
-    def test_prefix_split_rule(self):
-        rows = [result_row("31", 1.0), result_row("71", 1.0)]
-        hist = histogram(rows, 0.1, stack_by="class")
-        assert hist.stacks["primary"] == (1,)
-        assert hist.stacks["manufactured"] == (1,)
-
-    def test_empty_stack_group_is_zero_height(self):
-        rows = [result_row("71", 1.0), result_row("72", 1.12)]
-        hist = histogram(rows, 0.1, stack_by="class")
-        assert sum(hist.stacks["primary"]) == 0
-        assert sum(hist.stacks["manufactured"]) == sum(hist.counts) == 2
-
-    @pytest.mark.parametrize("stack_by", ["prefix", "class"])
-    def test_stacking_a_code_without_a_digit_prefix_raises(self, stack_by):
-        rows = [result_row("71", 1.0), result_row(ALL, 1.05)]
-        with pytest.raises(ValueError, match="^cannot stack product 'ALL': its code "
-                                             "does not start with a digit$"):
-            histogram(rows, 0.1, stack_by=stack_by)
-        assert histogram(rows, 0.1).counts == (2,)
-
-    def test_no_rows_rejected(self):
-        with pytest.raises(ValueError, match="^no results to bin$"):
-            histogram([], 0.1)
-
-    def test_unknown_stacking_mode_rejected(self):
-        with pytest.raises(ValueError, match="^unknown stacking mode 'digit'$"):
-            histogram([result_row("1", 1.0)], 0.1, stack_by="digit")
-
-    @pytest.mark.parametrize("width", [0.0, -0.1, float("nan"), float("inf"),
-                                       float("-inf")])
-    def test_bin_width_must_be_finite_and_positive(self, width):
-        with pytest.raises(ValueError, match="finite and positive"):
-            histogram([result_row("1", 1.0)], width)
-
-    @pytest.mark.parametrize("rows, width", [
-        ([result_row("1", 1.0), result_row("2", 1.05)], 1e-300),
-        ([result_row("1", 1.0), result_row("2", 1.05)], 1e-12),
-        ([result_row("1", 1.0)], 1e-300),
-        ([result_row("1", 1.0)], 5e-324),
-        ([result_row("1", 0.0), result_row("2", float(MAX_BINS))], 1.0),
-    ], ids=["two_rows_1e-300", "two_rows_1e-12", "one_row_1e-300", "subnormal",
-            "one_bin_past_the_cap"])
-    def test_too_fine_width_rejected_before_binning(self, rows, width):
-        with pytest.raises(ValueError, match=f"^bin width {width} is too fine"):
-            histogram(rows, width)
-
-    def test_bins_up_to_the_cap_accepted(self):
-        hist = histogram([result_row("1", 0.0), result_row("2", MAX_BINS - 1.0)], 1.0)
-        assert len(hist.counts) == MAX_BINS and sum(hist.counts) == 2
-
-    def test_stacks_sum_to_totals(self):
-        rng = np.random.default_rng(8)
-        rows = [result_row(f"{i % 10}{i % 7}", float(e))
-                for i, e in enumerate(rng.uniform(0.8, 1.3, size=40))]
-        hist = histogram(rows, 0.07, stack_by="prefix")
-        stacked = np.sum([hist.stacks[g] for g in hist.stacks], axis=0)
-        assert tuple(stacked) == hist.counts
 
 
 @pytest.mark.parametrize("call", [
