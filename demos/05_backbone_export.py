@@ -33,7 +33,7 @@ print("every node retained:", touched == set(net.nodes))
 # the same at every alpha: a node is an exporter when its exports exceed
 # its imports, and its size is its trading volume, the larger of the two.
 exporters = int(np.count_nonzero(net.outflow > net.inflow))
-print(f"\nroles at alpha=0.05: {exporters} net exporters, "
+print(f"\nroles: {exporters} net exporters, "
       f"{net.n - exporters} net importers")
 sizes = np.maximum(net.outflow, net.inflow).tolist()
 top = sorted(zip(net.nodes, sizes), key=lambda kv: -kv[1])[:3]

@@ -103,12 +103,11 @@ def _parse_years(text: str | None) -> list[int] | None:
             lo, hi = map(int, part.split("-", 1))
             if lo > hi:
                 raise ValueError(f"empty year range {part!r}: {lo} is after {hi}")
-            span = range(lo, hi + 1)
         else:
-            span = [int(part)]
-        if len(years) + len(span) > MAX_YEARS:
+            lo = hi = int(part)
+        if len(years) + hi - lo + 1 > MAX_YEARS:
             raise ValueError(f"year list exceeds {MAX_YEARS} years at {part!r}")
-        years.extend(span)
+        years.extend(range(lo, hi + 1))
     return list(dict.fromkeys(years))     # each year once, first occurrence first
 
 

@@ -111,7 +111,7 @@ def _check_condition(cond: float) -> None:
 def _norm1(matrix: np.ndarray, buf: np.ndarray) -> float:
     """``np.linalg.norm(matrix, 1)``, the largest absolute column sum, with
     ``|matrix|`` written into ``buf`` (which may be ``matrix``)."""
-    return float(np.add.reduce(np.abs(matrix, out=buf), axis=0).max())
+    return float(np.abs(matrix, out=buf).sum(axis=0).max())
 
 
 def _invert(matrix: np.ndarray, out: np.ndarray) -> None:
@@ -182,7 +182,7 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     """Impact of node ``i`` by brute-force hypothetical extraction.
 
     Zeroes the node's inbound coefficient column and its source, re-solves
-    the flow balance T' = M'^T T' + S' for the reduced throughflow, and
+    the flow balance T' = M'^T T' + S' for the remaining throughflow, and
     returns the total reduction.  This path never touches the fundamental
     matrix, so it serves as an independent oracle for the closed form.
     ValueError if the reduction exceeds the float range.
@@ -192,10 +192,10 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     coeff[:, i] = 0.0
     src[i] = 0.0
     matrix = np.eye(net.n) - coeff.T
-    reduced_thru = _solve(matrix, src)
+    remaining = _solve(matrix, src)
     _check_condition(np.linalg.cond(matrix, 1))
     with np.errstate(over="ignore", invalid="ignore"):
-        impact = float((thru - reduced_thru).sum())
+        impact = float((thru - remaining).sum())
     if not math.isfinite(impact):
         raise ValueError(_NOT_FINITE)
     return impact
@@ -220,10 +220,12 @@ def analyze(net: FlowNetwork) -> FlowAnalysis:
 
 
 def throughflow_residual(analysis: FlowAnalysis) -> float:
-    """Relative inf-norm residual of the flow balance T = M^T T + S."""
-    thru = analysis.throughflow
-    return float(np.abs(thru - (analysis.coefficients.T @ thru + analysis.source)).max()
-                 / np.abs(thru).max())
+    """Relative inf-norm residual of T^T = S^T U, max |T - S^T U| / max T, at
+    the cost of one inverse (M^T T + S gives T back to an ulp whatever U is).
+    T and S are divided by max T first, so no product overflows."""
+    scale = analysis.throughflow.max()
+    thru, src = analysis.throughflow / scale, analysis.source / scale
+    return float(np.abs(thru - src @ analysis.fundamental).max())
 
 
 def _frozen(array: np.ndarray) -> np.ndarray:

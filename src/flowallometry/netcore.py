@@ -12,9 +12,7 @@ import math
 import warnings
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
-from functools import reduce
 from itertools import accumulate, pairwise, starmap
-from operator import add
 
 import numpy as np
 
@@ -401,15 +399,6 @@ def _warn_short(group: np.ndarray, digit_level: int, stacklevel: int = 3) -> Non
                       f"{digit_level} digits", FlowDataWarning, stacklevel=stacklevel)
 
 
-def _warn_self_loops(values: np.ndarray) -> None:
-    """Warn about dropped self-loops, with their values summed in row
-    order, at the call site of the function that called ``_select``."""
-    if len(values):
-        total = reduce(add, values.tolist(), 0.0)
-        warnings.warn(f"dropped {len(values)} self-loop record(s) worth {total}",
-                      FlowDataWarning, stacklevel=4)
-
-
 def _select(table: TradeTable, year: int, digit_level: int, product: str | None = None):
     """The one record selection of every analysis: the sorted product codes
     of ``year`` truncated to ``digit_level``, and the rows of that year a
@@ -444,7 +433,15 @@ def _select(table: TradeTable, year: int, digit_level: int, product: str | None 
     if product != ALL:
         _warn_short(group, digit_level, stacklevel=4)
     loop = exporter == importer
-    _warn_self_loops(value[drawn & loop])
+    dropped = value[drawn & loop].tolist()
+    if dropped:
+        # Exactly rounded, as every cell is, so row order cannot change it.
+        try:
+            total = math.fsum(dropped)
+        except OverflowError:
+            total = math.inf
+        warnings.warn(f"dropped {len(dropped)} self-loop record(s) worth {total}",
+                      FlowDataWarning, stacklevel=3)
     take = drawn & ~loop
     return groups, group[take], exporter[take], importer[take], value[take]
 

@@ -386,7 +386,9 @@ class TestExitCodes:
         assert "empty year range" in capsys.readouterr().err
 
     @pytest.mark.parametrize("years,part", [("1990,2000-1999999999", "2000-1999999999"),
-                                            ("1991-11990,1990", "1990")])
+                                            ("1991-11990,1990", "1990"),
+                                            ("1-100000000000000000000",
+                                             "1-100000000000000000000")])
     def test_year_list_past_ten_thousand_is_one(self, tmp_path, capsys, years, part):
         code, text = run(tmp_path, "timeseries", "--input", CORPUS4, "--digits", "1",
                          "--years", years)

@@ -2,6 +2,7 @@ import re
 import tracemalloc
 import warnings
 from dataclasses import fields
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -45,6 +46,13 @@ class TestWorkedExample:
 
     def test_flow_balance_residual(self, three_node_net):
         assert throughflow_residual(analyze(three_node_net)) <= 1e-10
+
+    def test_residual_reads_the_fundamental(self, three_node_net, monkeypatch):
+        # T = M^T T + S holds whatever U is; T^T = S^T U does not.
+        result = analyze(three_node_net)
+        monkeypatch.setattr("flowallometry.flowcalc._fundamental",
+                            lambda coeff: _fundamental(coeff) * (1 + 1e-6))
+        assert throughflow_residual(result) >= 1e-7
 
 
 class TestSingleEdge:
@@ -384,3 +392,55 @@ class TestInvariances:
         assert other.throughflow[lookup] == pytest.approx(
             base.throughflow, rel=1e-12)
         assert other.impact[lookup] == pytest.approx(base.impact, rel=1e-12)
+
+
+def exact_impacts(net):
+    """Impacts of ``net`` in exact rational arithmetic: T, S and M from the
+    flux, U by Gauss-Jordan elimination of [I - M | I]."""
+    n = net.n
+    flux = [[Fraction(x) for x in row] for row in net.flux.tolist()]
+    inflow = [sum(column) for column in zip(*flux)]
+    thru = [max(inn, sum(row)) for inn, row in zip(inflow, flux)]
+    src = [t - inn for t, inn in zip(thru, inflow)]
+    eye = [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    rows = [[e - f / t for e, f in zip(unit, row)] + unit
+            for unit, row, t in zip(eye, flux, thru)]
+    for c in range(n):
+        pivot = next(r for r in range(c, n) if rows[r][c])
+        rows[c], rows[pivot] = rows[pivot], rows[c]
+        rows[c] = [x / rows[c][c] for x in rows[c]]
+        for r in range(n):
+            if r != c and rows[r][c]:
+                factor = rows[r][c]
+                rows[r] = [x - factor * y for x, y in zip(rows[r], rows[c])]
+    fund = [row[n:] for row in rows]
+    return [sum(src[j] * fund[j][i] for j in range(n)) * sum(fund[i]) / fund[i][i]
+            for i in range(n)]
+
+
+def fed_ring(k):
+    """A saturated 12-node ring fed by SRC -> R00 and drained by R05 -> SNK,
+    both of weight 10^-k; I - M's condition grows as 10^k."""
+    nodes = [f"R{i:02d}" for i in range(12)]
+    edges = [(nodes[i], nodes[(i + 1) % 12], 1.0) for i in range(12)]
+    return FlowNetwork.from_edges(edges + [("SRC", "R00", 10.0 ** -k),
+                                           ("R05", "SNK", 10.0 ** -k)])
+
+
+class TestExactOracle:
+    """The closed form against impacts in exact arithmetic, within
+    4 * cond * 2^-53 relative, cond the 1-norm condition number of I - M.
+    (The extraction oracle is the less accurate side on the fed ring: its
+    sum of T - T' cancels at SNK, whose impact is about 10^-k of the total.)"""
+
+    @pytest.mark.parametrize("net", [
+        *(random_flow(n, density=0.4, back_density=0.1, seed=n) for n in (16, 18, 20)),
+        *(fed_ring(k) for k in (2, 4, 6, 8, 10)),
+    ], ids=["random16", "random18", "random20", *(f"ring1e-{k}" for k in (2, 4, 6, 8, 10))])
+    def test_closed_form_within_the_condition_bound(self, net):
+        result = analyze(net)
+        cond = np.linalg.cond(np.eye(net.n) - result.coefficients, 1)
+        exact = exact_impacts(net)
+        worst = max(abs(Fraction(got) - want) / want
+                    for got, want in zip(result.impact.tolist(), exact))
+        assert worst <= 4 * cond * 2.0 ** -53

@@ -2,6 +2,7 @@ import math
 import random
 import warnings
 from collections import defaultdict
+from itertools import permutations
 from typing import NamedTuple
 
 import numpy as np
@@ -131,6 +132,39 @@ class TestBatch:
                     "dropped 1 self-loop record(s) worth 4.0"]
         assert data_warnings(lambda: batch(table, 2000, 2, min_countries=3)) == expected
         assert data_warnings(lambda: complexity_table(table, 2000, 2)) == expected
+
+    # Summed in row order, 1 + 1 + 1e16 and 1e16 + 1 + 1 round apart.
+    LOOPS = [Row(2000, "AAA", "AAA", "1", 1.0), Row(2000, "BBB", "BBB", "1", 1.0),
+             Row(2000, "CCC", "CCC", "1", 1e16), Row(2000, "AAA", "BBB", "1", 5.0),
+             Row(2000, "BBB", "CCC", "1", 3.0)]
+    EXACT = ["dropped 3 self-loop record(s) worth 1.0000000000000002e+16"]
+    self_loop_calls = pytest.mark.parametrize("call", [
+        lambda table: build_network(table, "1", 2000, 1),
+        lambda table: batch(table, 2000, 1, min_countries=3),
+        lambda table: complexity_table(table, 2000, 1),
+    ], ids=["build_network", "batch", "complexity_table"])
+
+    @self_loop_calls
+    def test_self_loop_total_ignores_row_order(self, call):
+        for rows in permutations(self.LOOPS):
+            assert data_warnings(lambda: call(trades(rows))) == self.EXACT, rows
+
+    @self_loop_calls
+    def test_self_loop_total_ignores_the_split_into_tables(self, call):
+        for rows in (self.LOOPS, self.LOOPS[::-1]):
+            for cut in range(1, len(rows)):
+                table = TradeTable.concat([trades(rows[:cut]), trades(rows[cut:])])
+                assert data_warnings(lambda: call(table)) == self.EXACT, (rows, cut)
+
+    @self_loop_calls
+    def test_self_loop_total_past_the_float_range_is_inf(self, call):
+        table = trades([Row(2000, "AAA", "AAA", "1", 1e308), Row(2000, "BBB", "BBB", "1", 1e308),
+                        Row(2000, "AAA", "BBB", "1", 5.0), Row(2000, "BBB", "CCC", "1", 3.0)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            call(table)
+        assert [(w.category, str(w.message)) for w in caught] == [
+            (FlowDataWarning, "dropped 2 self-loop record(s) worth inf")]
 
     @pytest.mark.parametrize("product, warned", [
         ("11", ["excluded 1 record(s) with codes shorter than 2 digits",
