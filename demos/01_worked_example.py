@@ -26,7 +26,7 @@ print(result.fundamental)
 
 # Impact: total throughflow the system loses when a country is removed.
 # The closed form reads it off U; the brute-force route actually deletes
-# the node and re-solves the flow balance.  They agree.
+# the node and sums the throughflow that stops.  They agree.
 print("\nimpact C (closed form):", result.impact)
 for i, code in enumerate(net.nodes):
     oracle = fa.impact_by_extraction(net, i)

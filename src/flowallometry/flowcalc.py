@@ -14,8 +14,8 @@ holds the vectors and shares the network's read-only flux, from which M
 (one division) and U (one inverse) are derived on each access with the bits
 ``analyze`` used.  A node's impact is the total system-wide throughflow
 lost when the node is hypothetically extracted; it is computed either in
-closed form from U or by actually zeroing the node's inbound coefficients
-and source and re-solving.
+closed form from U or by inverting the extracted balance with LAPACK and
+summing the throughflow the extraction removes.
 
 Sign convention: with m_ij = f_ij / T_i, the flow balance that reproduces
 throughflow is T_k = S_k + sum_j m_jk T_j, i.e. T = M^T T + S (note the
@@ -93,11 +93,11 @@ def _shares(flux: np.ndarray, thru: np.ndarray) -> np.ndarray:
     return np.divide(flux, thru[:, None], order="C")
 
 
-def _solve(matrix: np.ndarray, rhs: np.ndarray | None = None) -> np.ndarray:
-    """Pivoted dense solve of ``matrix @ x = rhs``, or the inverse of
-    ``matrix`` when ``rhs`` is None; SingularNetwork if singular."""
+def _solve(matrix: np.ndarray) -> np.ndarray:
+    """The inverse of ``matrix`` by one pivoted LAPACK gesv
+    (``np.linalg.inv``); SingularNetwork if singular."""
     try:
-        return np.linalg.inv(matrix) if rhs is None else np.linalg.solve(matrix, rhs)
+        return np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(f"flow balance is singular: {exc}") from exc
 
@@ -181,21 +181,21 @@ def _fundamental(coeff: np.ndarray) -> np.ndarray:
 def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     """Impact of node ``i`` by brute-force hypothetical extraction.
 
-    Zeroes the node's inbound coefficient column and its source, re-solves
-    the flow balance T' = M'^T T' + S' for the remaining throughflow, and
-    returns the total reduction.  This path never touches the fundamental
-    matrix, so it serves as an independent oracle for the closed form.
-    ValueError if the reduction exceeds the float range.
+    With the node's inbound column of M zeroed in M', the throughflow the
+    extraction removes, D = T - T', solves (I - M'^T) D = T_i e_i; the impact
+    sums D's nonnegative terms, taken from LAPACK's inverse at every size, so
+    this oracle never touches U or ``_invert``.  ValueError on overflow.
     """
-    thru, src = _balance(net)
+    thru, _ = _balance(net)
     coeff = _shares(net.flux, thru)
     coeff[:, i] = 0.0
-    src[i] = 0.0
     matrix = np.eye(net.n) - coeff.T
-    remaining = _solve(matrix, src)
-    _check_condition(np.linalg.cond(matrix, 1))
+    inverse = _solve(matrix)
     with np.errstate(over="ignore", invalid="ignore"):
-        impact = float((thru - remaining).sum())
+        removed = thru[i] * inverse[:, i]
+        # Equals np.linalg.cond(matrix, 1), which would invert a second time.
+        _check_condition(_norm1(matrix, matrix) * _norm1(inverse, inverse))
+        impact = float(removed.sum())
     if not math.isfinite(impact):
         raise ValueError(_NOT_FINITE)
     return impact

@@ -22,10 +22,17 @@ from .errors import EmptySelection, FlowDataWarning, NegativeFlow
 ALL = "ALL"
 
 
+#: Strings already checked canonical by ``country_id``, at most a few
+#: thousand, so that rebuilding networks over one roster re-checks none.
+_CANONICAL: set[str] = set()
+
+
 def country_id(raw: str) -> str:
     """Normalize a country identifier: uppercased, non-empty, with no
     whitespace, no unprintable character such as NUL, and no ``,`` or
     ``"``, which unquoted CSV and DOT output cannot hold."""
+    if type(raw) is str and raw in _CANONICAL:
+        return raw
     code = str(raw).upper()
     if not code:
         raise ValueError("empty country code")
@@ -36,7 +43,11 @@ def country_id(raw: str) -> str:
     if "," in code or '"' in code:
         raise ValueError(f"country code contains a comma or a double quote: {raw!r}")
     # A canonical string is returned as given, so networks over one roster share it.
-    return raw if type(raw) is str and raw == code else code
+    if type(raw) is str and raw == code:
+        if len(_CANONICAL) < 4096:
+            _CANONICAL.add(raw)
+        return raw
+    return code
 
 
 def product_code(raw: str) -> str:

@@ -9,7 +9,7 @@ import pytest
 
 from flowallometry import (FlowAnalysis, FlowNetwork, SingularNetwork, analyze,
                            impact_by_extraction, random_flow, throughflow_residual)
-from flowallometry.flowcalc import _fundamental
+from flowallometry.flowcalc import COND_LIMIT, _fundamental
 from conftest import random_net
 
 
@@ -115,6 +115,19 @@ class TestFundamentalEdgeCases:
         assert cond > 1e12
         with pytest.raises(SingularNetwork, match=re.escape(f"estimate {cond:.3e}")):
             analyze(net)
+
+    def test_extraction_refusal_carries_the_one_norm_condition_number(self):
+        # Extracting SNK from the fed ring at k = 11 leaves I - M'^T with a
+        # condition of about 1.2e12; analyze's I - M has about 1.95e12.
+        net = fed_ring(11)
+        i = net.nodes.index("SNK")
+        coeff = balance(net)[2]
+        coeff[:, i] = 0.0
+        cond = np.linalg.cond(np.eye(net.n) - coeff.T, 1)
+        assert cond > COND_LIMIT
+        with pytest.raises(SingularNetwork) as err:
+            impact_by_extraction(net, i)
+        assert str(err.value) == f"flow balance nearly singular (condition estimate {cond:.3e})"
 
     def test_extraction_surfaces_surviving_saturated_cycle(self):
         # saturated cycle AAA<->BBB plus a separate component CCC->DDD:
@@ -266,6 +279,17 @@ class TestBlockRoute:
         result = analyze(net)
         for i in range(net.n):
             assert result.impact[i] == pytest.approx(impact_by_extraction(net, i), rel=1e-9)
+
+    def test_extraction_never_takes_the_block_route(self, monkeypatch):
+        net = gravity_net(np.random.default_rng(21), 80)
+        expected = analyze(net).impact
+
+        def refuse(matrix, out):
+            raise AssertionError("the extraction oracle reached _invert")
+
+        monkeypatch.setattr("flowallometry.flowcalc._invert", refuse)
+        got = [impact_by_extraction(net, i) for i in range(net.n)]
+        np.testing.assert_allclose(got, expected, rtol=1e-9)
 
     @pytest.mark.parametrize("case", [0, 1], ids=["gravity-160", "acyclic-130"])
     def test_fundamental_matches_lapack_above_the_threshold(self, case):
@@ -427,20 +451,54 @@ def fed_ring(k):
                                            ("R05", "SNK", 10.0 ** -k)])
 
 
-class TestExactOracle:
-    """The closed form against impacts in exact arithmetic, within
-    4 * cond * 2^-53 relative, cond the 1-norm condition number of I - M.
-    (The extraction oracle is the less accurate side on the fed ring: its
-    sum of T - T' cancels at SNK, whose impact is about 10^-k of the total.)"""
+def reexport_hub(k):
+    """HUB sends 1, 2, 3 and 4 to partners P0-P3 and gets back all but a
+    fraction 10^-k of it; the rest goes on to SNK, and SRC feeds HUB what
+    leaks.  I - M's condition is about 36 * 10^k."""
+    leak = 10.0 ** -k
+    edges = [("SRC", "HUB", 10.0 * leak)]
+    for j, w in enumerate((1.0, 2.0, 3.0, 4.0)):
+        edges += [("HUB", f"P{j}", w), (f"P{j}", "HUB", w * (1 - leak)),
+                  (f"P{j}", "SNK", w * leak)]
+    return FlowNetwork.from_edges(edges)
 
-    @pytest.mark.parametrize("net", [
-        *(random_flow(n, density=0.4, back_density=0.1, seed=n) for n in (16, 18, 20)),
-        *(fed_ring(k) for k in (2, 4, 6, 8, 10)),
-    ], ids=["random16", "random18", "random20", *(f"ring1e-{k}" for k in (2, 4, 6, 8, 10))])
+
+def worst_error(impacts, exact):
+    """Largest relative error of float ``impacts`` against ``exact``."""
+    return max(abs(Fraction(got) - want) / want for got, want in zip(impacts, exact))
+
+
+EXACT_CASES = pytest.mark.parametrize("net", [
+    *(random_flow(n, density=0.4, back_density=0.1, seed=n) for n in (16, 18, 20)),
+    *(fed_ring(k) for k in (2, 4, 6, 8, 10)),
+    *(reexport_hub(k) for k in range(2, 11)),
+], ids=["random16", "random18", "random20", *(f"ring1e-{k}" for k in (2, 4, 6, 8, 10)),
+        *(f"hub1e-{k}" for k in range(2, 11))])
+
+
+class TestExactOracle:
+    """Both impact routes against impacts in exact arithmetic, within
+    4 * cond * 2^-53 relative, cond the 1-norm condition number of I - M.
+    The extraction oracle sums the throughflow an extraction removes, terms
+    of one sign, so even on the fed ring, where SNK's impact is about 10^-k
+    of the total, it cancels no more than the closed form."""
+
+    @EXACT_CASES
     def test_closed_form_within_the_condition_bound(self, net):
         result = analyze(net)
         cond = np.linalg.cond(np.eye(net.n) - result.coefficients, 1)
-        exact = exact_impacts(net)
-        worst = max(abs(Fraction(got) - want) / want
-                    for got, want in zip(result.impact.tolist(), exact))
-        assert worst <= 4 * cond * 2.0 ** -53
+        assert worst_error(result.impact.tolist(), exact_impacts(net)) <= 4 * cond * 2.0 ** -53
+
+    @EXACT_CASES
+    def test_extraction_within_the_condition_bound(self, net):
+        cond = np.linalg.cond(np.eye(net.n) - balance(net)[2], 1)
+        impacts = [impact_by_extraction(net, i) for i in range(net.n)]
+        assert worst_error(impacts, exact_impacts(net)) <= 4 * cond * 2.0 ** -53
+
+    def test_reexport_hub_above_the_limit_is_refused(self):
+        # At k = 11 the condition is about 3.6e12.  A condition-free route
+        # (ROADMAP item 10) would give impacts here, and must record that.
+        net = reexport_hub(11)
+        assert np.linalg.cond(np.eye(net.n) - balance(net)[2], 1) > COND_LIMIT
+        with pytest.raises(SingularNetwork, match="^flow balance nearly singular"):
+            analyze(net)

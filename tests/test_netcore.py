@@ -27,6 +27,16 @@ class TestIdentifiers:
         assert country_id(code) is code
         assert FlowNetwork([code, "JPN"], [[0, 1], [0, 0]], "1", 2000).nodes[0] is code
 
+    def test_checked_codes_are_remembered_up_to_a_bound(self, monkeypatch):
+        monkeypatch.setattr(netcore, "_CANONICAL", set())
+        codes = [f"Z{k:04d}" for k in range(5000)]
+        assert all(country_id(code) is code for code in codes)
+        assert len(netcore._CANONICAL) == 4096
+        # A remembered code is returned as the object given, equal or not.
+        again = "".join(["Z", "0001"])
+        assert country_id(again) is again
+        assert country_id("z0001") == "Z0001"
+
     @pytest.mark.parametrize("bad", ["", "U SA", "US\t", "A\nB", "A,B", 'A"B',
                                      "U\x00S", "A\x7f", "\u200bX"])
     def test_country_id_rejects(self, bad):

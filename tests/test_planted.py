@@ -7,6 +7,8 @@ and a large b a shallow, bushy tree.  Each edge carries its child's subtree
 size, the flow that passes through it, times lognormal(0, 0.05) noise.  One
 product recycles: every child sends half of what it receives back to its
 parent, so its network is full of cycles and u_ii > 1 on its inner nodes.
+The same family runs again at 150 nodes, above the 64 at which the
+fundamental matrix takes its block route.
 """
 
 import json
@@ -27,23 +29,26 @@ RECYCLED = {"5": 0.5}       # product: share of each edge's flow sent back up
 MARGIN = 0.02
 
 
-def cascade(rng: np.random.Generator, b: int) -> list[tuple[int, int, float]]:
-    """(parent, child, weight) edges of one cascade tree with branching window b."""
-    parent = [0] + [int(rng.integers(max(0, k - b), k)) for k in range(1, NODES)]
-    size = [1] * NODES
-    for k in range(NODES - 1, 0, -1):
+def cascade(rng: np.random.Generator, b: int,
+            nodes: int = NODES) -> list[tuple[int, int, float]]:
+    """(parent, child, weight) edges of one cascade tree of ``nodes`` nodes
+    with branching window b."""
+    parent = [0] + [int(rng.integers(max(0, k - b), k)) for k in range(1, nodes)]
+    size = [1] * nodes
+    for k in range(nodes - 1, 0, -1):
         size[parent[k]] += size[k]
     return [(parent[k], k, size[k] * float(rng.lognormal(0.0, 0.05)))
-            for k in range(1, NODES)]
+            for k in range(1, nodes)]
 
 
-def corpus_rows(label=lambda k: f"C{k:02d}", scale=1.0) -> list[tuple]:
-    """The planted corpus as (year, exporter, importer, product, value) rows,
-    countries named by ``label`` and values multiplied by ``scale``."""
+def corpus_rows(label=lambda k: f"C{k:02d}", scale=1.0, nodes=NODES) -> list[tuple]:
+    """The planted corpus of ``nodes``-node cascades as (year, exporter,
+    importer, product, value) rows, countries named by ``label`` and values
+    multiplied by ``scale``."""
     rng = np.random.default_rng(20140516)
     rows = []
     for (product, year), b in PLANTED.items():
-        edges = cascade(rng, b)
+        edges = cascade(rng, b, nodes)
         share = RECYCLED.get(product, 0.0)
         edges += [(j, i, share * w) for i, j, w in edges if share]
         rows.extend((year, label(i), label(j), product, w * scale) for i, j, w in edges)
@@ -58,9 +63,9 @@ def write_rows(path, rows) -> str:
     return str(path)
 
 
-def write_corpus(path, label=lambda k: f"C{k:02d}", scale=1.0):
+def write_corpus(path, label=lambda k: f"C{k:02d}", scale=1.0, nodes=NODES):
     """The planted corpus as a trades CSV; see ``corpus_rows``."""
-    return write_rows(path, corpus_rows(label, scale))
+    return write_rows(path, corpus_rows(label, scale, nodes))
 
 
 def run_json(tmp_path, *argv):
@@ -132,11 +137,14 @@ def test_no_extraction_removes_more_than_all_the_flow(planted):
         assert 0.5 * total[code] < impact <= total[code] * (1 + 1e-9), code
 
 
-def test_output_survives_splitting_into_files(tmp_path):
-    # Rows alternate between two files, and every third cell is split
-    # across both as a + (w - a), with a = 0.625 w: w - a is exact for a in
-    # [w/2, 2w] (Sterbenz), so the parts sum to w exactly.
-    rows = corpus_rows()
+def assert_splitting_keeps_output(tmp_path, rows):
+    """``batch`` and ``timeseries`` print the same JSON from ``rows`` in one
+    file and from ``rows`` split over two.
+
+    Rows alternate between two files, and every third cell is split across
+    both as a + (w - a), with a = 0.625 w: w - a is exact for a in [w/2, 2w]
+    (Sterbenz), so the parts sum to w exactly.
+    """
     parts = ([], [])
     for k, (year, src, dst, product, w) in enumerate(rows):
         if k % 3 == 0:
@@ -156,3 +164,52 @@ def test_output_survives_splitting_into_files(tmp_path):
             assert main([*command, *inputs, "--format", "json", "--out", str(out)]) == 0
             texts.append(out.read_text())
         assert texts[0] == texts[1], command
+
+
+def test_output_survives_splitting_into_files(tmp_path):
+    assert_splitting_keeps_output(tmp_path, corpus_rows())
+
+
+# The same family at 150 nodes: every product network and ALL then take the
+# block route of the fundamental matrix, whose rounding depends on node order.
+# Measured separations: 0.0745 (products 1-2) and 0.1806 (2-3) in 2000, and
+# 0.1079 and 0.1164 as product 4 deepens over 2001-2003.
+BLOCK_NODES = 150
+
+
+def block_label(k):
+    return f"C{k:03d}"
+
+
+@pytest.fixture(scope="module")
+def planted_block(tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("planted_block")
+    return etas(tmp_path, write_corpus(tmp_path / "planted.csv", block_label, nodes=BLOCK_NODES))
+
+
+def test_block_route_keeps_the_planted_order(planted_block):
+    ranked, deepening, _ = planted_block
+    assert list(ranked) == ["1", "2", "3", "5", "ALL"]
+    assert ranked["1"] - ranked["2"] > MARGIN
+    assert ranked["2"] - ranked["3"] > MARGIN
+    assert ranked["3"] < ranked["ALL"] < ranked["1"]
+    assert deepening[1] - deepening[0] > MARGIN
+    assert deepening[2] - deepening[1] > MARGIN
+
+
+@pytest.mark.parametrize("label, scale", [
+    (lambda k: f"R{(37 * k) % BLOCK_NODES:03d}", 1.0),      # gcd(37, 150) = 1
+    (block_label, 2.0),
+], ids=["relabelled", "scaled"])
+def test_block_route_etas_survive_relabelling_and_scaling(tmp_path, planted_block,
+                                                          label, scale):
+    corpus = write_corpus(tmp_path / "t.csv", label, scale, nodes=BLOCK_NODES)
+    ranked, deepening, _ = etas(tmp_path, corpus)
+    assert ranked.keys() == planted_block[0].keys()
+    for code, eta in planted_block[0].items():
+        assert ranked[code] == pytest.approx(eta, abs=1e-12)
+    assert deepening == pytest.approx(planted_block[1], abs=1e-12)
+
+
+def test_block_route_output_survives_splitting_into_files(tmp_path):
+    assert_splitting_keeps_output(tmp_path, corpus_rows(block_label, nodes=BLOCK_NODES))
