@@ -14,8 +14,8 @@ holds the vectors and shares the network's read-only flux, from which M
 (one division) and U (one inverse) are derived on each access with the bits
 ``analyze`` used.  A node's impact is the total system-wide throughflow
 lost when the node is hypothetically extracted; it is computed either in
-closed form from U or by inverting the extracted balance with LAPACK and
-summing the throughflow the extraction removes.
+closed form from U or by summing T_i times row i of the extracted
+network's fundamental matrix, taken by LAPACK under ``analyze``'s rule.
 
 Sign convention: with m_ij = f_ij / T_i, the flow balance that reproduces
 throughflow is T_k = S_k + sum_j m_jk T_j, i.e. T = M^T T + S (note the
@@ -93,19 +93,13 @@ def _shares(flux: np.ndarray, thru: np.ndarray) -> np.ndarray:
     return np.divide(flux, thru[:, None], order="C")
 
 
-def _solve(matrix: np.ndarray) -> np.ndarray:
-    """The inverse of ``matrix`` by one pivoted LAPACK gesv
-    (``np.linalg.inv``); SingularNetwork if singular."""
+def _solve(matrix: np.ndarray, out: np.ndarray) -> None:
+    """Write the inverse of ``matrix`` into ``out`` by one pivoted LAPACK
+    gesv (``np.linalg.inv``); SingularNetwork if singular."""
     try:
-        return np.linalg.inv(matrix)
+        out[...] = np.linalg.inv(matrix)
     except np.linalg.LinAlgError as exc:
         raise SingularNetwork(f"flow balance is singular: {exc}") from exc
-
-
-def _check_condition(cond: float) -> None:
-    if not math.isfinite(cond) or cond > COND_LIMIT:
-        raise SingularNetwork(
-            f"flow balance nearly singular (condition estimate {cond:.3e})")
 
 
 def _norm1(matrix: np.ndarray, buf: np.ndarray) -> float:
@@ -129,7 +123,7 @@ def _invert(matrix: np.ndarray, out: np.ndarray) -> None:
     """
     n = len(matrix)
     if n < 2 * _BLOCK:
-        out[...] = _solve(matrix)
+        _solve(matrix, out)
         return
     h = n // 2
     p, q, r, s = matrix[:h, :h], matrix[:h, h:], matrix[h:, :h], matrix[h:, h:]
@@ -149,7 +143,7 @@ def _invert(matrix: np.ndarray, out: np.ndarray) -> None:
         np.negative(minus_u21, out=u21)
 
 
-def _fundamental(coeff: np.ndarray) -> np.ndarray:
+def _fundamental(coeff: np.ndarray, invert=None) -> np.ndarray:
     """Fundamental matrix U = (I - M)^-1.
 
     Consumes ``coeff``: I - M is built in its place (``0.0 - m``, then 1.0
@@ -160,9 +154,10 @@ def _fundamental(coeff: np.ndarray) -> np.ndarray:
     elimination from matrix products, which outrun gesv per flop at these
     sizes; its last digits differ from gesv's by about 1e-15 relative.
     Matrix products, like gesv, round differently on each BLAS kernel
-    (ROADMAP item 2).  The 1-norm of I - M is taken before it is consumed,
-    that of U through the consumed buffer, and U is the only n x n array
-    made here.
+    (ROADMAP item 2).  The extraction oracle passes ``_solve`` as
+    ``invert``, for gesv at every size.  The 1-norm of I - M is taken
+    before it is consumed, that of U through the consumed buffer, and U is
+    the only n x n array made here.
 
     Raises SingularNetwork when I - M is singular or its 1-norm condition
     number exceeds ``COND_LIMIT``; that happens exactly when the network
@@ -172,9 +167,11 @@ def _fundamental(coeff: np.ndarray) -> np.ndarray:
     matrix.reshape(-1)[:: len(matrix) + 1] += 1.0
     fund = np.empty_like(matrix)
     norm = _norm1(matrix, fund)
-    _invert(matrix, fund)
+    (invert or _invert)(matrix, fund)
     # Equals np.linalg.cond(I - M, 1), which would invert I - M a second time.
-    _check_condition(norm * _norm1(fund, matrix))
+    cond = norm * _norm1(fund, matrix)
+    if not math.isfinite(cond) or cond > COND_LIMIT:
+        raise SingularNetwork(f"flow balance nearly singular (condition estimate {cond:.3e})")
     return fund
 
 
@@ -182,20 +179,17 @@ def impact_by_extraction(net: FlowNetwork, i: int) -> float:
     """Impact of node ``i`` by brute-force hypothetical extraction.
 
     With the node's inbound column of M zeroed in M', the throughflow the
-    extraction removes, D = T - T', solves (I - M'^T) D = T_i e_i; the impact
-    sums D's nonnegative terms, taken from LAPACK's inverse at every size, so
-    this oracle never touches U or ``_invert``.  ValueError on overflow.
+    extraction removes sums T_i times row i of U' = (I - M')^-1, terms of
+    one sign.  U' comes from ``_fundamental`` with LAPACK at every size, so
+    the oracle never reaches ``_invert`` and is refused by ``analyze``'s
+    rule.  ValueError on overflow.
     """
     thru, _ = _balance(net)
     coeff = _shares(net.flux, thru)
     coeff[:, i] = 0.0
-    matrix = np.eye(net.n) - coeff.T
-    inverse = _solve(matrix)
-    with np.errstate(over="ignore", invalid="ignore"):
-        removed = thru[i] * inverse[:, i]
-        # Equals np.linalg.cond(matrix, 1), which would invert a second time.
-        _check_condition(_norm1(matrix, matrix) * _norm1(inverse, inverse))
-        impact = float(removed.sum())
+    row = _fundamental(coeff, _solve)[i]
+    with np.errstate(over="ignore"):
+        impact = float((thru[i] * row).sum())
     if not math.isfinite(impact):
         raise ValueError(_NOT_FINITE)
     return impact

@@ -111,10 +111,10 @@ def parse_trades(source) -> TradeTable:
     """Parse the canonical trades CSV into a table, aborting on the first
     bad field.
 
-    Plain text is read a block of lines at a time.  Other text, and text
-    with a bad field, is read row by row through ``csv.reader``, which
-    names the row and column of the first bad field.  Both readers give
-    the same table.
+    Plain text, LF or CRLF, is read a block of lines at a time.  Quoted
+    or other text, and text with a bad field, is read row by row through
+    ``csv.reader``, which names the row and column of the first bad field.
+    Both readers give the same table.
     """
     text = _text(source)
     table = _read_blocks(text)
@@ -132,14 +132,16 @@ def _read_blocks(text: str) -> TradeTable | None:
     reader does not take.
 
     It takes text whose lines all split on ``,`` as ``csv.reader`` splits
-    them: no ``"``, carriage return or NUL, and no field as long as the
-    CSV size limit.  Each data line must have five fields, and each field
-    must pass the checks ``_read_rows`` makes.  Every distinct year, country
-    and product string is checked once and given a provisional id; after
-    the last block the year ids become their values, and one remap puts
-    the other ids onto the sorted rosters.
+    them: no ``"`` or NUL, no field as long as the CSV size limit, and no
+    carriage return but one before a newline or at the end, which stays on
+    the last field for ``str.strip`` to clear.  Each data line must have
+    five fields, and each field must pass the checks ``_read_rows`` makes.
+    Every distinct year, country and product string is checked once and
+    given a provisional id; after the last block the year ids become their
+    values, and one remap puts the other ids onto the sorted rosters.
     """
-    if '"' in text or "\r" in text or "\0" in text:
+    if ('"' in text or "\0" in text
+            or text.count("\r") != text.count("\r\n") + text.endswith("\r")):
         return None
     limit = csv.field_size_limit()
     years, countries, products = (_Roster(lambda raw, check=check: check(raw.strip()))

@@ -10,9 +10,10 @@ from pathlib import Path
 
 import pytest
 
-from flowallometry import (FlowDataWarning, build_network, impact_by_extraction,
-                           parse_trades)
+from flowallometry import (FlowDataWarning, SingularNetwork, analyze, build_network,
+                           impact_by_extraction, parse_trades)
 from flowallometry.cli import build_parser, main
+from flowallometry.flowcalc import _fundamental
 
 DATA = Path(__file__).parent / "data"
 GOLDEN = Path(__file__).parent / "golden"
@@ -363,6 +364,19 @@ class TestExitCodes:
         code, _ = run(tmp_path, "analyze", "--input", str(loop),
                       "--year", "2000", "--product", "11", "--digits", "2")
         assert code == 2
+
+    def test_nonpositive_diagonal_is_two(self, tmp_path, monkeypatch, three_node_net):
+        def zero_diagonal(*args):
+            fund = _fundamental(*args)
+            fund[1, 1] = 0.0
+            return fund
+
+        monkeypatch.setattr("flowallometry.flowcalc._fundamental", zero_diagonal)
+        with pytest.raises(SingularNetwork,
+                           match="^fundamental matrix has a nonpositive diagonal$"):
+            analyze(three_node_net)
+        code, text = run(tmp_path, *ANALYZE)
+        assert code == 2 and text is None
 
     def test_singular_ring_above_the_block_threshold_is_two(self, tmp_path, capsys):
         # 70 saturated nodes: U of I - M would come from block elimination.

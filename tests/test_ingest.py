@@ -107,7 +107,7 @@ class TestParseTrades:
         assert (err.value.row, err.value.column) == (2, "year")
         assert "out of range" in str(err.value)
 
-    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])   # block reader, row-wise
+    @pytest.mark.parametrize("line_end", ["\n", "\r\n"])
     def test_byte_order_mark_dropped(self, line_end, tmp_path):
         text = "\ufeff" + (HEADER + "2000,USA,JPN,7100,5\n").replace("\n", line_end)
         path = tmp_path / "bom.csv"
@@ -115,7 +115,26 @@ class TestParseTrades:
         expected = parse_trades(HEADER + "2000,USA,JPN,7100,5\n")
         for source in (text, text.encode(), io.StringIO(text), path):
             assert parse_trades(source) == expected
-        assert (ingest._read_blocks(ingest._text(text)) is None) == (line_end == "\r\n")
+        assert ingest._read_blocks(ingest._text(text)) == expected   # both line ends
+
+    @pytest.mark.parametrize("text, row", [
+        (HEADER + "2000,USA,JPN,7100,5\n2000\r,JPN,USA,7100,3\n", 2),
+        (HEADER + "2000,USA,JPN,7100,5\r2000,JPN,USA,7100,3\n", 1),
+        (HEADER + "2000,USA,JPN,7100,5\n# a\rcomment\n", 2),
+        (HEADER + "2000,USA,JPN,7100,5\r\r\n", None),
+    ], ids=["before-comma", "between-records", "in-comment", "cr-cr-lf"])
+    def test_bare_carriage_return_reads_row_wise(self, text, row):
+        assert ingest._read_blocks(text) is None
+        if row is None:      # csv.reader takes "\r\r\n" as one line end
+            assert parse_trades(text) == parse_trades(HEADER + "2000,USA,JPN,7100,5\n")
+            return
+        with pytest.raises(ParseError) as expected:
+            ingest._read_rows(text)
+        with pytest.raises(ParseError) as err:
+            parse_trades(text)
+        assert "new-line character seen in unquoted field" in str(err.value)
+        assert ((err.value.row, err.value.column, str(err.value))
+                == (row, None, str(expected.value)))
 
     def test_accepts_bytes_and_file_like(self):
         text = HEADER + "2000,USA,JPN,7100,5\n"
@@ -280,7 +299,8 @@ SKIPPED_LINES = ["", "   ", "\x1c", "# note", "  # a,b,c,d,e", "#"]
 def trade_texts(draw):
     """CSV-like trades text.  A third of the texts may hold rejected fields
     and a third rejected lines; the others give a table, and half of those
-    have no quote, NUL or carriage return, so that the block reader reads them."""
+    have no quote, NUL or carriage return, so that the block reader reads
+    them.  The other half may end lines with CRLF, which it reads too."""
     flaw, plain = draw(st.sampled_from([None, "fields", "lines"])), draw(st.booleans())
     fields = [st.sampled_from(good + bad if flaw == "fields" else
                               [f for f in good if not plain or not {'"', "\0"} & set(f)])
@@ -326,7 +346,8 @@ def test_block_reader_equals_row_reader(raw, block, limit):
                         == (error.row, error.column, str(error)))
                 return
             assert_same_table(parse_trades(raw), expected)
-            plain = not any(c in text for c in '"\r\0')
+            plain = ('"' not in text and "\0" not in text
+                     and text.count("\r") == text.count("\r\n") + text.endswith("\r"))
             fields = [f for line in text.split("\n") for f in line.split(",")]
             if plain and max(map(len, fields)) < limit:
                 assert blocks is not None     # the block reader takes all plain text

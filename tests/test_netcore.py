@@ -183,6 +183,13 @@ class TestFlowNetwork:
         with pytest.raises(TypeError, match="unhashable"):
             hash(first)
 
+    def test_unequal_to_another_type(self, three_node_net):
+        assert not three_node_net == 1
+        assert three_node_net != 1
+
+    def test_repr_names_product_year_and_size(self, three_node_net):
+        assert repr(three_node_net) == "FlowNetwork(product='71', year=2000, n=3, edges=3)"
+
     def test_all_zero_is_empty(self):
         with pytest.raises(EmptySelection):
             FlowNetwork(["AAA", "BBB"], [[0, 0], [0, 0]], "1", 2000)
@@ -413,6 +420,10 @@ class TestTradeTable:
 
     def test_concat_of_one_table_is_that_table(self, three_node_table):
         assert TradeTable.concat([three_node_table]) is three_node_table
+
+    def test_unequal_to_another_type(self, three_node_table):
+        assert not three_node_table == 1
+        assert three_node_table != 1
 
     def test_concat_of_no_tables_raises(self):
         with pytest.raises(ValueError, match="^no tables to concatenate$"):
